@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import esthd_approx, esthd_pure, est1d, tailbounds
+from . import est1d, tailbounds
 from .core import (
     ClipBall,
     ConfigurationError,
@@ -79,7 +79,9 @@ def read_dataset_csv(path: str) -> PersonDataset:
 
     def sample_key(item):
         key = item[0]
-        return (0, float(key)) if key.replace(".", "", 1).lstrip("-").isdigit() else (1, key)
+        # numeric iff "-"? then decimal digits with at most one ".", which float() parses
+        numeric = key.removeprefix("-").replace(".", "", 1).isdecimal()
+        return (0, float(key)) if numeric else (1, key)
 
     tensor = [
         [xs for _, xs in sorted(rows, key=sample_key)] for rows in people.values()
@@ -116,20 +118,8 @@ def _run_estimate(args) -> int:
         beta=float(cfg.get("beta", 0.1)),
         range_R=float(cfg.get("range_R", 2.0)),
     )
-    seed = int(cfg["seed"])
-    delta = float(cfg.get("delta", 0.0) or 0.0)
-    if cfg["estimator"] == "est1d":
-        report = est1d.estimate_mean_1d(data, PrivacyBudget(float(cfg["epsilon"]), delta), params, seed)
-    elif cfg["estimator"] == "hd_single":
-        report = esthd_approx.estimate_single_round(
-            data, PrivacyBudget(float(cfg["epsilon"]), delta), params, seed
-        )
-    elif cfg["estimator"] == "hd_two_round":
-        report = esthd_approx.estimate_two_round(
-            data, PrivacyBudget(float(cfg["epsilon"]), delta), params, seed
-        )
-    else:
-        report = esthd_pure.estimate_pure_full(data, params, float(cfg["epsilon"]), seed)
+    budget = PrivacyBudget(float(cfg["epsilon"]), float(cfg.get("delta", 0.0) or 0.0))
+    report = ESTIMATORS[cfg["estimator"]](data, budget, params, int(cfg["seed"]))
     text = report.to_json()
     if args.out:
         with open(args.out, "w") as fh:
@@ -256,15 +246,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--seed", type=int)
     p_est.add_argument("--out")
 
-    for name, help_text in (
-        ("sweep", "run an experiment grid from a JSON config"),
-        ("tailbench", "run tail-bound verification from a JSON config"),
+    for name, help_text, threads_help in (
+        (
+            "sweep",
+            "run an experiment grid from a JSON config",
+            "worker threads (default: $DPMEAN_THREADS, else 1)",
+        ),
+        (
+            "tailbench",
+            "run tail-bound verification from a JSON config",
+            "accepted and ignored: tailbench runs serially",
+        ),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
-        p.add_argument("--threads", type=int)
+        p.add_argument("--threads", type=int, help=threads_help)
 
     p_lemma = sub.add_parser("lemma-checks", help="run the lemma verification battery")
     p_lemma.add_argument("--seed", type=int)

@@ -97,7 +97,8 @@ def bias_oracle_1d(
     center = float(ball.center[0])
     means = sample_batch_means(spec, m, trials, seed)[:, 0]
     z = trunc_1d(means, center - ball.radius, center + ball.radius)
-    bias = abs(float(z.mean()) - mu)
+    # fsum is exactly rounded, so a fully clamped batch reports its endpoint exactly
+    bias = abs(math.fsum(z) / trials - mu)
     se = float(z.std(ddof=1)) / math.sqrt(trials)
     gap = ball.radius - abs(center - mu)
     return BiasOracleResult(

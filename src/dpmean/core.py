@@ -345,10 +345,13 @@ class SyntheticSpec:
 
 @dataclass
 class EstimateReport:
-    """Output of any estimator: point estimate plus the internals that produced it.
+    """Output of every estimator in ``harness.ESTIMATORS``: the point estimate,
+    the (epsilon, delta) it spent, its seed, and the internals that produced it.
 
     ``params`` holds estimator-specific scalars/vectors (rho, mu_coarse, rho1,
-    rho2, u1, u2, ...) and is inlined into the JSON serialization.
+    rho2, u1, u2, the stage ledger, ...) and is inlined into the JSON
+    serialization.  Given the same data, budget, params and seed, every field
+    but ``wall_time_ms`` is reproduced bit for bit.
     """
 
     estimate: np.ndarray

@@ -62,15 +62,12 @@ class FineConfig:
 
     rho: float
     u_err: float
-    noise: str = "laplace"
 
     def __post_init__(self):
         if not (self.rho > 0):
             raise ParameterError(f"rho must be > 0, got {self.rho}")
         if self.u_err < 0:
             raise ParameterError("u_err must be >= 0")
-        if self.noise != "laplace":
-            raise ParameterError(f"unsupported noise {self.noise!r}")
 
 
 def range_estimator(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .est1d import range_estimator
 from .mechanisms import BudgetLedger
 
 __all__ = [
-    "TwoRoundConfig",
     "two_round_radii",
     "single_round_rho",
     "coarse_estimate_hd",
@@ -55,21 +53,6 @@ def two_round_radii(n: int, m: int, d: int, k: float, epsilon: float, delta: flo
     rho1 = max(base, shared * d ** (0.5 - 1 / (2 * k)))
     rho2 = max(base, shared * d ** (0.5 - 1 / k))
     return rho1, rho2
-
-
-@dataclass(frozen=True)
-class TwoRoundConfig:
-    rho1: float
-    rho2: float
-
-    def __post_init__(self):
-        if not (self.rho1 >= self.rho2 >= 0):
-            raise ParameterError(f"need rho1 >= rho2 >= 0, got {self.rho1}, {self.rho2}")
-
-    @classmethod
-    def from_problem(cls, n, m, d, k, epsilon, delta) -> "TwoRoundConfig":
-        rho1, rho2 = two_round_radii(n, m, d, k, epsilon, delta)
-        return cls(rho1=rho1, rho2=rho2)
 
 
 def single_round_rho(
@@ -171,39 +154,39 @@ def clip_and_noise(
     return avg + sigma * rng.standard_normal(data.d)
 
 
-def estimate_single_round(
-    data: PersonDataset,
-    budget: PrivacyBudget,
-    params: ProblemParams,
-    seed: Seed,
-    c0: float = DEFAULT_SINGLE_ROUND_CONSTANT,
-    tight_sensitivity: bool = False,
-) -> EstimateReport:
-    """Coarse estimate to 16 sqrt(d/m), then one clip-and-noise round.
+def _clip_rounds(
+    groups: list, budgets: list, radii: list, params: ProblemParams, seed: Seed
+) -> tuple:
+    """The iterative clip-and-noise loop shared by both estimators (CoinPress,
+    Biswas, Dong, Kamath & Ullman 2020) with T = len(radii) rounds.
 
-    Both stages see all people; budget splits (eps/2, delta/2) + (eps/2, delta/2)
-    by basic composition.  Stage budgets feed the rho formula.
+    Stage 0 is the coarse estimate of groups[0] to L2 accuracy 16 sqrt(d/m);
+    round t = 1..T clips groups[t] to radii[t - 1] around the previous output
+    and adds noise.  Stage t draws from derive_seed(seed, t) and charges
+    budgets[t] to the ledger as it runs.  Returns (centers, ledger), where
+    centers[t] is stage t's output and centers[T] the release.
     """
-    if budget.delta <= 0:
-        raise ParameterError("estimate_single_round requires delta > 0")
-    t0 = time.perf_counter()
-    eps_stage, delta_stage = budget.epsilon / 2, budget.delta / 2
-    stage = PrivacyBudget(eps_stage, delta_stage)
-    u1 = coarse_estimate_hd(
-        data,
-        stage,
-        r=16 * math.sqrt(data.d / data.m),
-        mode="auto",
-        seed=derive_seed(seed, 0),
-        range_R=params.range_R,
-    )
-    rho = single_round_rho(data.n, data.m, data.d, params.k, eps_stage, delta_stage, c0)
-    estimate = clip_and_noise(
-        data, stage, ClipBall(u1, rho), derive_seed(seed, 1), tight_sensitivity
-    )
     ledger = BudgetLedger()
-    ledger.add(eps_stage, delta_stage)
-    ledger.add(eps_stage, delta_stage)
+    data = groups[0]
+    centers = [
+        coarse_estimate_hd(
+            data,
+            budgets[0],
+            r=16 * math.sqrt(data.d / data.m),
+            mode="auto",
+            seed=derive_seed(seed, 0),
+            range_R=params.range_R,
+        )
+    ]
+    ledger.add(budgets[0].epsilon, budgets[0].delta)
+    for t, rho in enumerate(radii, start=1):
+        ball = ClipBall(centers[-1], rho)
+        centers.append(clip_and_noise(groups[t], budgets[t], ball, derive_seed(seed, t)))
+        ledger.add(budgets[t].epsilon, budgets[t].delta)
+    return centers, ledger
+
+
+def _report(estimate, ledger: BudgetLedger, seed: Seed, t0: float, params: dict) -> EstimateReport:
     total_eps, total_delta = ledger.total()
     return EstimateReport(
         estimate=estimate,
@@ -211,18 +194,33 @@ def estimate_single_round(
         delta=total_delta,
         seed=seed,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        params={"rho": rho, "u1": u1, "c0": c0, "ledger": ledger.entries},
+        params={**params, "ledger": ledger.entries},
+    )
+
+
+def estimate_single_round(
+    data: PersonDataset, budget: PrivacyBudget, params: ProblemParams, seed: Seed
+) -> EstimateReport:
+    """Coarse estimate to 16 sqrt(d/m), then one clip-and-noise round (T = 1).
+
+    Both stages see all people; budget splits (eps/2, delta/2) + (eps/2, delta/2)
+    by basic composition.  Stage budgets feed the rho formula.
+    """
+    if budget.delta <= 0:
+        raise ParameterError("estimate_single_round requires delta > 0")
+    t0 = time.perf_counter()
+    stage = PrivacyBudget(budget.epsilon / 2, budget.delta / 2)
+    rho = single_round_rho(data.n, data.m, data.d, params.k, stage.epsilon, stage.delta)
+    (u1, estimate), ledger = _clip_rounds([data, data], [stage, stage], [rho], params, seed)
+    return _report(
+        estimate, ledger, seed, t0, {"rho": rho, "u1": u1, "c0": DEFAULT_SINGLE_ROUND_CONSTANT}
     )
 
 
 def estimate_two_round(
-    data: PersonDataset,
-    budget: PrivacyBudget,
-    params: ProblemParams,
-    seed: Seed,
-    tight_sensitivity: bool = False,
+    data: PersonDataset, budget: PrivacyBudget, params: ProblemParams, seed: Seed
 ) -> EstimateReport:
-    """Two-round clip-and-noise: thirds Y/Z/V, coarse on Y, clip rounds on Z and V.
+    """Two-round clip-and-noise (T = 2): thirds Y/Z/V, coarse on Y, clip rounds on Z and V.
 
     u1 = coarse(Y; eps/2, delta/2), u2 = clip_and_noise(Z; eps/4, delta/4, rho1, u1),
     mu = clip_and_noise(V; eps/4, delta/4, rho2, u2); totals exactly (eps, delta).
@@ -234,41 +232,17 @@ def estimate_two_round(
     n = data.n // 3
     if n < 1:
         raise ParameterError("need at least 3 people")
-    dropped = data.n - 3 * n
-    cfg = TwoRoundConfig.from_problem(n, data.m, data.d, params.k, budget.epsilon, budget.delta)
-    group_y = data.subset(slice(0, n))
-    group_z = data.subset(slice(n, 2 * n))
-    group_v = data.subset(slice(2 * n, 3 * n))
-
-    u1 = coarse_estimate_hd(
-        group_y,
-        PrivacyBudget(budget.epsilon / 2, budget.delta / 2),
-        r=16 * math.sqrt(data.d / data.m),
-        mode="auto",
-        seed=derive_seed(seed, 0),
-        range_R=params.range_R,
-    )
+    rho1, rho2 = two_round_radii(n, data.m, data.d, params.k, budget.epsilon, budget.delta)
+    groups = [data.subset(slice(i * n, (i + 1) * n)) for i in range(3)]
+    half = PrivacyBudget(budget.epsilon / 2, budget.delta / 2)
     quarter = PrivacyBudget(budget.epsilon / 4, budget.delta / 4)
-    u2 = clip_and_noise(group_z, quarter, ClipBall(u1, cfg.rho1), derive_seed(seed, 1), tight_sensitivity)
-    estimate = clip_and_noise(group_v, quarter, ClipBall(u2, cfg.rho2), derive_seed(seed, 2), tight_sensitivity)
-
-    ledger = BudgetLedger()
-    ledger.add(budget.epsilon / 2, budget.delta / 2)
-    ledger.add(budget.epsilon / 4, budget.delta / 4)
-    ledger.add(budget.epsilon / 4, budget.delta / 4)
-    total_eps, total_delta = ledger.total()
-    return EstimateReport(
-        estimate=estimate,
-        epsilon=total_eps,
-        delta=total_delta,
-        seed=seed,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        params={
-            "rho1": cfg.rho1,
-            "rho2": cfg.rho2,
-            "u1": u1,
-            "u2": u2,
-            "dropped_people": dropped,
-            "ledger": ledger.entries,
-        },
+    (u1, u2, estimate), ledger = _clip_rounds(
+        groups, [half, quarter, quarter], [rho1, rho2], params, seed
+    )
+    return _report(
+        estimate,
+        ledger,
+        seed,
+        t0,
+        {"rho1": rho1, "rho2": rho2, "u1": u1, "u2": u2, "dropped_people": data.n - 3 * n},
     )

@@ -28,7 +28,6 @@ from .est1d import estimate_mean_1d
 from .mechanisms import exponential_mechanism
 
 __all__ = [
-    "MoMConfig",
     "CoverGrid",
     "ScoreRecord",
     "comparison_rho",
@@ -66,21 +65,6 @@ def mom_subsample_count(beta: float) -> int:
         raise ParameterError(f"beta must be in (0, 1), got {beta}")
     count = math.ceil(10 * math.log(1 / beta))
     return count + 1 if count % 2 == 0 else count
-
-
-@dataclass(frozen=True)
-class MoMConfig:
-    """Median-of-means setup for one projected comparison."""
-
-    num_subsamples: int
-    rho: float
-    center: float
-
-    def __post_init__(self):
-        if self.num_subsamples < 1 or self.num_subsamples % 2 == 0:
-            raise ParameterError("num_subsamples must be a positive odd integer")
-        if not (self.rho > 0):
-            raise ParameterError("rho must be > 0")
 
 
 @dataclass(frozen=True)
@@ -167,7 +151,7 @@ def _flip_costs(block_means: np.ndarray, thresholds: np.ndarray, block: int, rho
     return margins, already
 
 
-def _compare_batch(
+def _project_batch(
     means: np.ndarray,
     m: int,
     p: np.ndarray,
@@ -178,12 +162,15 @@ def _compare_batch(
     k: float,
     c_rho: float = DEFAULT_COMPARISON_RHO_CONSTANT,
 ):
-    """Run the projected truncated median-of-means comparison of p against
-    every challenger at once.
+    """Projection step of the comparison of p against every challenger at once.
 
-    Returns (p_wins, margins) over challengers: margins[j] is the exact greedy
-    number of whole-batch corruptions needed to make p lose to challenger j
-    when p currently wins, else 0.
+    Projects the seeded permutation of the per-person averages onto each
+    direction (q - p)/||q - p||, truncates at comparison_rho around p's
+    projection, and averages contiguous blocks.  Returns (block_means,
+    midpoints, block, rho): block_means is (k_mom, nq) and midpoints[j] the
+    p/q midpoint on direction j; p wins challenger j when the median of
+    column j lands at or below midpoints[j] (p0 < q0 always, by construction
+    of the direction).
     """
     n = means.shape[0]
     k_mom = mom_subsample_count(beta)
@@ -206,11 +193,7 @@ def _compare_batch(
     proj = means[perm] @ dirs.T  # (used, nq)
     np.clip(proj, p0 - rho, p0 + rho, out=proj)
     block_means = proj.reshape(k_mom, block, -1).mean(axis=1)  # (k_mom, nq)
-
-    # p wins challenger j when the median lands at or below the midpoint
-    # (p0 < q0 always, by construction of the projection direction).
-    margins, q_already_wins = _flip_costs(block_means, midpoints, block, rho)
-    return ~q_already_wins, margins
+    return block_means, midpoints, block, rho
 
 
 def bin_mean_comp(
@@ -236,25 +219,16 @@ def bin_mean_comp(
     q = np.atleast_1d(np.asarray(q, dtype=np.float64))
     if p.shape != q.shape or np.array_equal(p, q):
         raise ParameterError("need distinct points p != q of equal dimension")
-    means = data.person_means()
-    p_wins, up_margins = _compare_batch(means, data.m, p, q[None, :], alpha, beta, seed, k, c_rho)
-    if p_wins[0]:
-        return "p", float(up_margins[0])
+    block_means, midpoints, block, rho = _project_batch(
+        data.person_means(), data.m, p, q[None, :], alpha, beta, seed, k, c_rho
+    )
+    margins, q_wins = _flip_costs(block_means, midpoints, block, rho)
+    if not q_wins[0]:
+        return "p", float(margins[0])
     # Flip the other way: push the median back down to the midpoint.  Mirror
-    # the projections so the same push-up greedy applies.
-    k_mom = mom_subsample_count(beta)
-    n = means.shape[0]
-    block = n // k_mom
-    used = block * k_mom
-    rho = comparison_rho(data.m, k, alpha, c_rho)
-    e = (q - p) / np.linalg.norm(q - p)
-    p0 = float(e @ p)
-    midpoint = p0 + np.linalg.norm(q - p) / 2
-    perm = derive_rng(seed).permutation(n)[:used]
-    proj = np.clip(means[perm] @ e, p0 - rho, p0 + rho)
-    block_means = proj.reshape(k_mom, block).mean(axis=1)
-    # Median <= midpoint counts as p winning, so mirror strictly below.
-    margins, _ = _flip_costs(-block_means[:, None], np.array([-midpoint]), block, rho)
+    # the projections so the same push-up greedy applies; median <= midpoint
+    # counts as p winning, so mirror strictly below.
+    margins, _ = _flip_costs(-block_means, -midpoints, block, rho)
     return "q", float(margins[0])
 
 
@@ -282,11 +256,16 @@ def score_candidate(
     cover = local_cover(p, alpha, data.d)
     assert len(cover) > 0
     cap = data.n * alpha
-    p_wins, margins = _compare_batch(means, data.m, p, cover.points, alpha, beta, seed, k, c_rho)
-    if p_wins.all():
-        score = min(float(margins.min()), cap)
-    else:
+    block_means, midpoints, block, rho = _project_batch(
+        means, data.m, p, cover.points, alpha, beta, seed, k, c_rho
+    )
+    # margins[j] is the greedy number of whole-batch corruptions that make p
+    # lose to challenger j when p currently wins.
+    margins, q_wins = _flip_costs(block_means, midpoints, block, rho)
+    if q_wins.any():
         score = 0.0
+    else:
+        score = min(float(margins.min()), cap)
     return ScoreRecord(candidate=p, score=score, cap=cap)
 
 
@@ -323,16 +302,21 @@ def fine_est_pure(
 
 
 def estimate_pure_full(
-    data: PersonDataset, params: ProblemParams, epsilon: float, seed: Seed
+    data: PersonDataset, budget: PrivacyBudget, params: ProblemParams, seed: Seed
 ) -> EstimateReport:
-    """Full pure-DP pipeline over 2n people.
+    """Full pure-DP pipeline over 2n people; ``budget`` must be pure (delta = 0).
 
     The first half runs the univariate estimator per coordinate (budget
     epsilon/d, failure beta/(2d) each) to get mu_coarse with L-inf error
     alpha; the second half is recentered by mu_coarse and handed to
     fine_est_pure.  The two phases touch disjoint people, so the total
-    budget is epsilon by parallel composition.
+    budget is epsilon by parallel composition.  Raises ParameterError when
+    budget.delta > 0: the estimator spends no delta, so a requested delta
+    would be dropped rather than used.
     """
+    if not budget.is_pure:
+        raise ParameterError(f"pure_dp spends no delta; got delta = {budget.delta!r}, need 0")
+    epsilon = budget.epsilon
     t0 = time.perf_counter()
     half = data.n // 2
     if half < 1:

@@ -2,10 +2,18 @@
 grids, repeated trials, and CSV emission for both estimators and tail-bound
 verification.
 
+``ESTIMATORS`` is the one registry of estimators, each called as
+``fn(data, budget, params, seed) -> EstimateReport``; the sweep and the CLI
+both dispatch through it.
+
+Sweeps have one execution path: ``threads`` workers (1 by default, the
+calling thread among them) take trials from one queue and stop taking them
+on the first exception.
 Per-trial seeds derive from (config seed, grid-point hash, trial index), so
 row contents never depend on execution order.  Rows are written atomically as
-tasks complete; with threads = 1 (the default) the file itself is
-byte-identical across reruns except for the wall_time_ms column.
+tasks complete; with one worker, trials run in grid order and the file itself
+is byte-identical across reruns except for the wall_time_ms column.
+Tailbench runs serially and ignores its ``threads`` argument.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +43,7 @@ from .core import (
 
 __all__ = [
     "CSV_SCHEMA_VERSION",
+    "ESTIMATORS",
     "ExperimentConfig",
     "TrialRow",
     "run_experiment",
@@ -46,7 +54,23 @@ __all__ = [
 
 CSV_SCHEMA_VERSION = "1"
 
-ESTIMATORS = ("est1d", "hd_single", "hd_two_round", "pure_dp")
+
+def _registered(module, name: str):
+    # Looked up on the module at call time, so a wrapper installed on the
+    # module attribute (a profiler's, a test's monkeypatch) sees every call.
+    def run(data, budget, params, seed):
+        return getattr(module, name)(data, budget, params, seed)
+
+    run.__name__ = run.__qualname__ = name
+    return run
+
+
+ESTIMATORS = {
+    "est1d": _registered(est1d, "estimate_mean_1d"),
+    "hd_single": _registered(esthd_approx, "estimate_single_round"),
+    "hd_two_round": _registered(esthd_approx, "estimate_two_round"),
+    "pure_dp": _registered(esthd_pure, "estimate_pure_full"),
+}
 
 
 def resolve_threads(requested: int | None) -> int:
@@ -108,15 +132,9 @@ class ExperimentConfig:
     def from_json(cls, text: str) -> "ExperimentConfig":
         raw = json.loads(text)
         try:
-            spec = SyntheticSpec(
-                family=raw["spec"]["family"],
-                mean=None if raw["spec"].get("mean") is None else tuple(raw["spec"]["mean"]),
-                k=float(raw["spec"].get("k", 4.0)),
-                extra=dict(raw["spec"].get("extra", {})),
-            )
             return cls(
                 estimator=raw["estimator"],
-                spec=spec,
+                spec=SyntheticSpec.from_json(json.dumps(raw["spec"])),
                 n=[int(v) for v in raw["n"]],
                 m=[int(v) for v in raw["m"]],
                 epsilon=[float(v) for v in raw["epsilon"]],
@@ -162,83 +180,12 @@ TrialRow = [
 ]
 
 
-def _run_one(config: ExperimentConfig, point: dict, trial: int) -> dict:
-    trial_seed = derive_seed(config.seed, stable_hash(point), trial)
-    spec = SyntheticSpec(
-        family=config.spec.family, mean=config.spec.mean, k=point["k"], extra=config.spec.extra
-    )
-    data = sample_dataset(spec, point["n"], point["m"], derive_seed(trial_seed, 0))
-    params = ProblemParams(
-        k=point["k"], alpha=point["alpha"], beta=config.beta, range_R=config.range_R
-    )
-    est_seed = derive_seed(trial_seed, 1)
-    try:
-        if config.estimator == "est1d":
-            budget = PrivacyBudget(point["epsilon"], point["delta"])
-            report = est1d.estimate_mean_1d(data, budget, params, est_seed)
-        elif config.estimator == "hd_single":
-            budget = PrivacyBudget(point["epsilon"], point["delta"])
-            report = esthd_approx.estimate_single_round(data, budget, params, est_seed)
-        elif config.estimator == "hd_two_round":
-            budget = PrivacyBudget(point["epsilon"], point["delta"])
-            report = esthd_approx.estimate_two_round(data, budget, params, est_seed)
-        else:
-            report = esthd_pure.estimate_pure_full(data, params, point["epsilon"], est_seed)
-    except EstimationFailedError:
-        # A legitimate outcome at small n (e.g. all stability-histogram
-        # buckets suppressed): record an infinite-error trial.
-        row = {key: "" for key in TrialRow}
-        row.update(
-            schema_version=CSV_SCHEMA_VERSION,
-            row_type="trial",
-            estimator=config.estimator,
-            family=spec.family,
-            n=point["n"],
-            m=point["m"],
-            d=point["d"],
-            epsilon=repr(point["epsilon"]),
-            delta=repr(point["delta"]),
-            alpha=repr(point["alpha"]),
-            k=repr(point["k"]),
-            trial=trial,
-            trial_seed=trial_seed,
-            l2_error=repr(math.inf),
-            wall_time_ms="0.000",
-        )
-        return row
-    error = float(np.linalg.norm(report.estimate - spec.mean_vector()))
-    row = {key: "" for key in TrialRow}
+def _row(config: ExperimentConfig, point: dict, row_type: str, **fields) -> dict:
+    """A CSV row: the grid-point columns, then ``fields``; the rest blank."""
+    row = dict.fromkeys(TrialRow, "")
     row.update(
         schema_version=CSV_SCHEMA_VERSION,
-        row_type="trial",
-        estimator=config.estimator,
-        family=spec.family,
-        n=point["n"],
-        m=point["m"],
-        d=point["d"],
-        epsilon=repr(point["epsilon"]),
-        delta=repr(point["delta"]),
-        alpha=repr(point["alpha"]),
-        k=repr(point["k"]),
-        trial=trial,
-        trial_seed=trial_seed,
-        estimate=_vec(report.estimate),
-        l2_error=repr(error),
-        rho=repr(report.params["rho"]) if "rho" in report.params else "",
-        rho1=repr(report.params["rho1"]) if "rho1" in report.params else "",
-        rho2=repr(report.params["rho2"]) if "rho2" in report.params else "",
-        mu_coarse=_vec(report.params["mu_coarse"]) if "mu_coarse" in report.params else "",
-        wall_time_ms=f"{report.wall_time_ms:.3f}",
-    )
-    return row
-
-
-def _summary_row(config: ExperimentConfig, point: dict, errors: list) -> dict:
-    row = {key: "" for key in TrialRow}
-    success = sum(1 for e in errors if e <= point["alpha"]) / len(errors)
-    row.update(
-        schema_version=CSV_SCHEMA_VERSION,
-        row_type="summary",
+        row_type=row_type,
         estimator=config.estimator,
         family=config.spec.family,
         n=point["n"],
@@ -248,63 +195,116 @@ def _summary_row(config: ExperimentConfig, point: dict, errors: list) -> dict:
         delta=repr(point["delta"]),
         alpha=repr(point["alpha"]),
         k=repr(point["k"]),
-        median_error=repr(float(np.median(errors))),
-        success_rate=repr(success),
     )
+    row.update(fields)
     return row
+
+
+def _run_one(config: ExperimentConfig, point: dict, trial: int) -> dict:
+    trial_seed = derive_seed(config.seed, stable_hash(point), trial)
+    spec = SyntheticSpec(
+        family=config.spec.family, mean=config.spec.mean, k=point["k"], extra=config.spec.extra
+    )
+    data = sample_dataset(spec, point["n"], point["m"], derive_seed(trial_seed, 0))
+    params = ProblemParams(
+        k=point["k"], alpha=point["alpha"], beta=config.beta, range_R=config.range_R
+    )
+    budget = PrivacyBudget(point["epsilon"], point["delta"])
+    try:
+        report = ESTIMATORS[config.estimator](data, budget, params, derive_seed(trial_seed, 1))
+    except EstimationFailedError:
+        # A legitimate outcome at small n (e.g. all stability-histogram
+        # buckets suppressed): record an infinite-error trial.
+        return _row(
+            config,
+            point,
+            "trial",
+            trial=trial,
+            trial_seed=trial_seed,
+            l2_error=repr(math.inf),
+            wall_time_ms="0.000",
+        )
+    error = float(np.linalg.norm(report.estimate - spec.mean_vector()))
+    stages = {
+        key: repr(report.params[key]) for key in ("rho", "rho1", "rho2") if key in report.params
+    }
+    if "mu_coarse" in report.params:
+        stages["mu_coarse"] = _vec(report.params["mu_coarse"])
+    return _row(
+        config,
+        point,
+        "trial",
+        trial=trial,
+        trial_seed=trial_seed,
+        estimate=_vec(report.estimate),
+        l2_error=repr(error),
+        wall_time_ms=f"{report.wall_time_ms:.3f}",
+        **stages,
+    )
 
 
 def run_experiment(config: ExperimentConfig, threads: int | None = None) -> str:
     """Run the full grid x trials cross product and write the CSV.
 
     Returns the output path.  A summary row (median error, success@alpha)
-    follows each grid point's trials.
+    follows each grid point's trials.  ``resolve_threads(threads)`` workers
+    take trials from one queue in grid order; the calling thread is worker 0,
+    so one worker runs every trial in the caller, in grid order.  The first
+    exception stops the workers from starting further trials and propagates.
     """
-    workers = resolve_threads(threads)
     points = config.grid_points()
+    errors = [[] for _ in points]
+    queue = [(i, trial) for i in range(len(points)) for trial in range(config.trials)]
+    queue.reverse()  # pop() takes trials in grid order
+    failures = []
     lock = threading.Lock()
     with open(config.output_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=TrialRow, lineterminator="\n")
         writer.writeheader()
 
-        def emit(row):
-            with lock:
-                writer.writerow(row)
-                fh.flush()
-
-        if workers == 1:
-            for point in points:
-                errors = []
-                for trial in range(config.trials):
+        def work() -> None:
+            while True:
+                with lock:
+                    if not queue:
+                        return
+                    i, trial = queue.pop()
+                point = points[i]
+                try:
                     row = _run_one(config, point, trial)
-                    errors.append(float(row["l2_error"]))
-                    emit(row)
-                emit(_summary_row(config, point, errors))
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                pending = {
-                    id(point): {"point": point, "errors": [], "left": config.trials}
-                    for point in points
-                }
-
-                def task(point, trial):
-                    row = _run_one(config, point, trial)
-                    emit(row)
-                    state = pending[id(point)]
+                except BaseException as exc:  # re-raised by the caller below
                     with lock:
-                        state["errors"].append(float(row["l2_error"]))
-                        state["left"] -= 1
-                        done = state["left"] == 0
-                    if done:
-                        emit(_summary_row(config, point, state["errors"]))
+                        queue.clear()
+                        failures.append(exc)
+                    return
+                with lock:
+                    writer.writerow(row)
+                    errors[i].append(float(row["l2_error"]))
+                    if len(errors[i]) == config.trials:
+                        success = sum(1 for e in errors[i] if e <= point["alpha"]) / len(errors[i])
+                        summary = _row(
+                            config,
+                            point,
+                            "summary",
+                            median_error=repr(float(np.median(errors[i]))),
+                            success_rate=repr(success),
+                        )
+                        writer.writerow(summary)
+                    fh.flush()
 
-                futures = [
-                    pool.submit(task, point, trial)
-                    for point in points
-                    for trial in range(config.trials)
-                ]
-                for fut in futures:
-                    fut.result()
+        helpers = [threading.Thread(target=work) for _ in range(resolve_threads(threads) - 1)]
+        for helper in helpers:
+            helper.start()
+        try:
+            work()
+        finally:
+            # Whatever ends the caller's share (an interrupt included), the
+            # helpers start no further trial and finish before the file closes.
+            with lock:
+                queue.clear()
+            for helper in helpers:
+                helper.join()
+    if failures:
+        raise failures[0]
     return config.output_path
 
 
@@ -365,49 +365,59 @@ TAILBENCH_COLUMNS = [
 def run_tailbench(config: TailbenchConfig, threads: int | None = None) -> str:
     """Evaluate empirical tails against calibrated bounds over the sweep.
 
-    One Monte Carlo sample batch per (spec, m, mode) is reused across the
-    bound's whole t-grid.  Out-of-window t values are flagged in the
-    valid_window column, never dropped.  "pass" is the domination check
-    empirical + 3 stderr <= bound.
+    One Monte Carlo sample batch per (spec, m, mode) serves the t-grids of
+    every bound that applies to it.  Out-of-window t values are flagged in
+    the valid_window column, never dropped.  "pass" is the domination check
+    empirical + 3 stderr <= bound.  Runs serially: ``threads`` is accepted
+    and ignored.
     """
     rows = []
-    for spec, m, bound_name in itertools.product(config.specs, config.m, config.bounds):
+    for spec, m in itertools.product(config.specs, config.m):
         d = spec.dim
-        if bound_name in ("heavytail", "berry_esseen") and d != 1:
+        # heavytail and berry_esseen are univariate, highd multivariate;
+        # heavytail needs k >= 3.
+        bounds = [
+            b
+            for b in config.bounds
+            if (b == "highd") == (d > 1) and not (b == "heavytail" and spec.k < 3)
+        ]
+        if not bounds:
             continue
-        if bound_name == "highd" and d == 1:
-            continue
-        if bound_name == "heavytail" and spec.k < 3:
-            continue
-        c_cal = tailbounds.FROZEN_CALIBRATION.get((spec.family, bound_name), 1.0)
-        grid = tailbounds.acceptance_t_grid(
-            bound_name, m, spec.k, d, config.grid_points_per_window
-        )
+        grids = [
+            tailbounds.acceptance_t_grid(b, m, spec.k, d, config.grid_points_per_window)
+            for b in bounds
+        ]
         mode = "one_sided" if d == 1 else "norm"
-        run_seed = derive_seed(config.seed, stable_hash([spec.to_json(), m, bound_name]))
-        tail = tailbounds.mc_tail(spec, m, d, grid, config.trials, run_seed, mode=mode)
-        evaluator = tailbounds._BOUNDS[bound_name]
-        for point in tail:
-            q = tailbounds.TailBoundQuery(m=m, k=spec.k, t=point.t, d=d, constant=c_cal)
-            bv = evaluator(q)
-            ok = point.empirical + 3 * point.std_error <= bv.value
-            rows.append(
-                {
-                    "schema_version": CSV_SCHEMA_VERSION,
-                    "family": spec.family,
-                    "m": m,
-                    "k": repr(spec.k),
-                    "d": d,
-                    "t": repr(point.t),
-                    "empirical": repr(point.empirical),
-                    "stderr": repr(point.std_error),
-                    "bound_name": bound_name,
-                    "bound_value": repr(bv.value),
-                    "C_cal": repr(c_cal),
-                    "valid_window": int(bv.valid),
-                    "pass": int(ok),
-                }
-            )
+        run_seed = derive_seed(config.seed, stable_hash([spec.to_json(), m, mode]))
+        tail = tailbounds.mc_tail(
+            spec, m, d, np.concatenate(grids), config.trials, run_seed, mode=mode
+        )
+        start = 0
+        for bound_name, grid in zip(bounds, grids):
+            c_cal = tailbounds.FROZEN_CALIBRATION.get((spec.family, bound_name), 1.0)
+            evaluator = tailbounds._BOUNDS[bound_name]
+            for point in tail[start : start + len(grid)]:
+                q = tailbounds.TailBoundQuery(m=m, k=spec.k, t=point.t, d=d, constant=c_cal)
+                bv = evaluator(q)
+                ok = point.empirical + 3 * point.std_error <= bv.value
+                rows.append(
+                    {
+                        "schema_version": CSV_SCHEMA_VERSION,
+                        "family": spec.family,
+                        "m": m,
+                        "k": repr(spec.k),
+                        "d": d,
+                        "t": repr(point.t),
+                        "empirical": repr(point.empirical),
+                        "stderr": repr(point.std_error),
+                        "bound_name": bound_name,
+                        "bound_value": repr(bv.value),
+                        "C_cal": repr(c_cal),
+                        "valid_window": int(bv.valid),
+                        "pass": int(ok),
+                    }
+                )
+            start += len(grid)
     with open(config.output_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=TAILBENCH_COLUMNS, lineterminator="\n")
         writer.writeheader()

@@ -8,8 +8,6 @@ so these are our pinned choices.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -26,7 +24,6 @@ __all__ = [
     "private_histogram",
     "exponential_mechanism",
     "BudgetLedger",
-    "ledger_total",
 ]
 
 
@@ -128,22 +125,6 @@ class NoisyHistogram:
         if len(self.counts) != self.spec.num_buckets:
             raise ParameterError("counts length does not match bucket grid")
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["bucket_left", "bucket_right", "noisy_count", "released"])
-        edges = self.spec.edges
-        for i in range(self.spec.num_buckets):
-            writer.writerow(
-                [
-                    repr(float(edges[i])),
-                    repr(float(edges[i + 1])),
-                    repr(float(self.counts[i])),
-                    int(self.released[i]),
-                ]
-            )
-        return buf.getvalue()
-
 
 def private_histogram(
     points: Sequence[float], spec: HistogramSpec, budget: PrivacyBudget, seed: Seed
@@ -204,22 +185,10 @@ def exponential_mechanism(
 
 @dataclass
 class BudgetLedger:
-    """Composition accounting over a sequence of (epsilon_i, delta_i) charges.
-
-    ``mode="basic"`` sums both coordinates.  ``mode="advanced"`` requires a
-    common per-entry epsilon_0 <= 1 and a slack delta0, and composes to
-    (epsilon_0 * sqrt(6 t ln(1/delta0)), delta0 + sum delta_i) over t entries.
-    """
+    """Basic composition over a sequence of (epsilon_i, delta_i) charges:
+    the total sums both coordinates."""
 
     entries: list = field(default_factory=list)
-    mode: str = "basic"
-    delta0: float | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("basic", "advanced"):
-            raise ParameterError(f"unknown ledger mode {self.mode!r}")
-        if self.mode == "advanced" and not (self.delta0 and self.delta0 > 0):
-            raise ParameterError("advanced mode requires delta0 > 0")
 
     def add(self, epsilon: float, delta: float = 0.0) -> None:
         if epsilon < 0 or delta < 0:
@@ -228,22 +197,4 @@ class BudgetLedger:
 
     def total(self) -> tuple:
         """Composed (epsilon, delta); (0.0, 0.0) for an empty ledger."""
-        if not self.entries:
-            return (0.0, 0.0)
-        eps = [e for e, _ in self.entries]
-        deltas = [d for _, d in self.entries]
-        if self.mode == "basic":
-            return (math.fsum(eps), math.fsum(deltas))
-        eps0 = eps[0]
-        if any(not math.isclose(e, eps0, rel_tol=1e-12) for e in eps):
-            raise ParameterError("advanced composition requires a common epsilon_0")
-        if eps0 > 1:
-            raise ParameterError("advanced composition requires epsilon_0 <= 1")
-        t = len(self.entries)
-        total_eps = eps0 * math.sqrt(6 * t * math.log(1 / self.delta0))
-        return (total_eps, self.delta0 + math.fsum(deltas))
-
-
-def ledger_total(ledger: BudgetLedger) -> tuple:
-    """Composed (epsilon, delta) of the ledger; (0, 0) for an empty ledger."""
-    return ledger.total()
+        return (math.fsum(e for e, _ in self.entries), math.fsum(d for _, d in self.entries))

@@ -47,6 +47,19 @@ class TestReadDataset:
         data = read_dataset_csv(str(path))
         assert (data.n, data.m, data.d) == (2, 2, 2)
 
+    def test_ids_float_rejects_sort_as_strings(self, tmp_path):
+        # "--1" and ".-5" pass a naive digit test but float() rejects them
+        path = tmp_path / "ids.csv"
+        path.write_text("person_id,sample_id,x1\n0,.-5,2.0\n0,--1,1.0\n1,.-5,4.0\n1,--1,3.0\n")
+        data = read_dataset_csv(str(path))
+        assert data.values[:, :, 0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_numeric_ids_sort_numerically(self, tmp_path):
+        path = tmp_path / "ids.csv"
+        path.write_text("person_id,sample_id,x1\n0,10,3.0\n0,9,2.0\n0,-1.5,1.0\n0,-.5,1.5\n")
+        data = read_dataset_csv(str(path))
+        assert data.values[0, :, 0].tolist() == [1.0, 1.5, 2.0, 3.0]
+
 
 class TestCliProcess:
     def test_selftest_exit_zero(self):
@@ -110,6 +123,31 @@ class TestEstimateInProcess:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["epsilon"] == 1.0
+
+    def test_pure_dp_rejects_delta_exit_2(self, capsys):
+        rc = main(
+            [
+                "estimate",
+                "--data",
+                str(FIXTURES / "est1d_dataset.csv"),
+                "--estimator",
+                "pure_dp",
+                "--epsilon",
+                "1",
+                "--delta",
+                "1e-6",
+                "--k",
+                "4",
+                "--alpha",
+                "0.35",
+                "--seed",
+                "7",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "pure_dp" in captured.err and "delta" in captured.err
 
     def test_missing_required_exit_2(self):
         rc = main(["estimate", "--data", str(FIXTURES / "est1d_dataset.csv")])

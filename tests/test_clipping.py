@@ -13,7 +13,8 @@ from dpmean.clipping import (
     truncation_bias_bound,
     variance_contraction_check,
 )
-from dpmean.core import ClipBall, ParameterError, SyntheticSpec, derive_rng
+from dpmean.core import ClipBall, ParameterError, SyntheticSpec, derive_rng, derive_seed
+from dpmean.esthd_pure import comparison_rho
 
 
 def gaussian(mean=0.0, k=4.0):
@@ -108,6 +109,17 @@ class TestBiasBound:
 
 
 class TestBiasOracle:
+    def test_fully_clamped_bias_exact(self):
+        # A7's case 2 at x0 = 1.5 rho and 3 rho: all 10^6 batch means lie below
+        # x0 - rho, so every draw is clamped and the bias is exactly x0 - rho
+        m, k = 64, 4.0
+        rho = comparison_rho(m, k, 0.25)
+        for i, frac in ((1, 1.5), (2, 3.0)):
+            x0 = frac * rho
+            ball = ClipBall(np.array([x0]), rho)
+            res = bias_oracle_1d(gaussian(0.0, k), m, ball, 10**6, derive_seed(0xA7, 2, i))
+            assert res.bias_mc == x0 - rho, (frac, res.bias_mc, x0 - rho)
+
     def test_huge_radius_no_bias(self):
         res = bias_oracle_1d(gaussian(0.3), 4, ClipBall(np.array([0.3]), 50.0), 10**5, 3)
         assert res.bias_mc <= 3 * res.std_error

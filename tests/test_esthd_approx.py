@@ -18,7 +18,6 @@ from dpmean.core import (
 from dpmean.clipping import clip_ball
 from dpmean.est1d import range_estimator
 from dpmean.esthd_approx import (
-    TwoRoundConfig,
     clip_and_noise,
     coarse_estimate_hd,
     estimate_single_round,
@@ -60,10 +59,6 @@ class TestRadii:
     def test_rho1_dominates_rho2(self, n, m, d, k, eps, delta):
         rho1, rho2 = two_round_radii(n, m, d, k, eps, delta)
         assert rho1 >= rho2 > 0
-
-    def test_config_validates_order(self):
-        with pytest.raises(ParameterError):
-            TwoRoundConfig(rho1=0.1, rho2=0.2)
 
 
 class TestCoarseHd:

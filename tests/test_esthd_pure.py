@@ -7,6 +7,7 @@ from dpmean.core import (
     ConfigurationError,
     ParameterError,
     PersonDataset,
+    PrivacyBudget,
     ProblemParams,
     SyntheticSpec,
     derive_seed,
@@ -242,7 +243,7 @@ class TestEstimatePureFull:
         mu = np.array([0.11])
         data = PersonDataset(np.full((2048, 64, 1), 0.11))
         params = ProblemParams(k=4.0, alpha=0.25, beta=0.1, range_R=2.0)
-        report = estimate_pure_full(data, params, 2.0, 5)
+        report = estimate_pure_full(data, PrivacyBudget(2.0), params, 5)
         # coarse phase localizes mu, fine phase picks the nearest cover point
         # after recentering; the report tracks the parallel composition
         assert report.delta == 0.0
@@ -254,9 +255,16 @@ class TestEstimatePureFull:
         mu = np.array([0.11])
         data = PersonDataset(np.full((2048, 64, 1), 0.11))
         params = ProblemParams(k=4.0, alpha=0.25, beta=0.1, range_R=2.0)
-        report = estimate_pure_full(data, params, 2.0, 5)
+        report = estimate_pure_full(data, PrivacyBudget(2.0), params, 5)
         mu_coarse = report.params["mu_coarse"]
         cover = global_cover(params.alpha, 1)
         recentered_mu = 0.11 - mu_coarse[0]
         nearest = cover.points[np.argmin(np.abs(cover.points[:, 0] - recentered_mu))]
         assert math.isclose(report.estimate[0], nearest[0] + mu_coarse[0], rel_tol=1e-12)
+
+    def test_rejects_delta(self):
+        # the estimator spends no delta, so a requested one must not be dropped silently
+        data = PersonDataset(np.full((64, 64, 1), 0.11))
+        params = ProblemParams(k=4.0, alpha=0.25, beta=0.1, range_R=2.0)
+        with pytest.raises(ParameterError, match="delta"):
+            estimate_pure_full(data, PrivacyBudget(2.0, 1e-6), params, 5)

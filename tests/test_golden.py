@@ -1,0 +1,129 @@
+"""Pinned outputs of every estimator in ``harness.ESTIMATORS`` on fixed data
+and a fixed seed.
+
+Each estimator's estimate and every report field but ``wall_time_ms`` are
+pinned by ``repr`` (arrays as lists, so no digit is lost).  Two routes are
+checked on the same data: the registry function on the in-memory dataset,
+and ``dpmean estimate`` on the dataset written as CSV.  A change that moves
+any of these values changes an estimator's output and must say why.
+"""
+
+import io
+import json
+from contextlib import redirect_stdout
+
+import numpy as np
+import pytest
+
+from dpmean import cli
+from dpmean.core import PersonDataset, PrivacyBudget, ProblemParams
+from dpmean.harness import ESTIMATORS
+
+PARAMS = ProblemParams(k=4.0, alpha=0.5, beta=0.1, range_R=2.0)
+EPSILON = 2.0
+SEED = 20240530
+# estimator -> (dimension of its dataset, delta)
+CASES = {
+    "est1d": (1, 0.0),
+    "hd_single": (2, 1e-6),
+    "hd_two_round": (2, 1e-6),
+    "pure_dp": (2, 0.0),
+}
+
+PINNED = {
+    'est1d': {
+        'estimate': '[0.2868264162923289]',
+        'epsilon': '2.0',
+        'delta': '0.0',
+        'seed': '20240530',
+        'params.rho': '3.7848802880062458',
+        'params.u_err': '3.2',
+        'params.mu_coarse': '0.7999999999999998',
+        'params.noise_scale': '0.018924401440031227',
+        'params.constant_c': '4.0',
+        'params.coarse_bucket': '(0.0, 1.5999999999999996)',
+        'params.ledger': '[(1.0, 0.0), (1.0, 0.0)]',
+        'params.bias_bound_applicable': 'False',
+    },
+    'hd_single': {
+        'estimate': '[0.25062601925641687, 0.33826288215474504]',
+        'epsilon': '2.0',
+        'delta': '1e-06',
+        'seed': '20240530',
+        'params.rho': '3.848883983845373',
+        'params.u1': '[0.7999999999999998, 0.7999999999999998]',
+        'params.c0': '4.0',
+        'params.ledger': '[(1.0, 5e-07), (1.0, 5e-07)]',
+    },
+    'hd_two_round': {
+        'estimate': '[0.28522814592063833, 0.2810589258898318]',
+        'epsilon': '2.0',
+        'delta': '1e-06',
+        'seed': '20240530',
+        'params.rho1': '0.4134501816564606',
+        'params.rho2': '0.3791354882426801',
+        'params.u1': '[0.7999999999999998, 0.7999999999999998]',
+        'params.u2': '[0.4771753459594193, 0.5333821960904533]',
+        'params.dropped_people': '0',
+        'params.ledger': '[(1.0, 5e-07), (0.5, 2.5e-07), (0.5, 2.5e-07)]',
+    },
+    'pure_dp': {
+        'estimate': '[0.24884762866049212, 0.3105658689272196]',
+        'epsilon': '2.0',
+        'delta': '0.0',
+        'seed': '20240530',
+        'params.mu_coarse': '[0.24884762866049212, 0.3105658689272196]',
+        'params.dropped_people': '0',
+        'params.composition': "'parallel over disjoint people'",
+        'params.phase_epsilons': '[2.0, 2.0]',
+    },
+}
+
+
+def dataset(d):
+    n, m = (400, 25) if d == 1 else (900, 25)
+    rng = np.random.default_rng(7 + d)
+    return PersonDataset(0.3 + 0.5 * rng.standard_normal((n, m, d)))
+
+
+def pin(value):
+    return repr(value.tolist() if isinstance(value, np.ndarray) else value)
+
+
+def fields(report):
+    out = {f: pin(getattr(report, f)) for f in ("estimate", "epsilon", "delta", "seed")}
+    out.update({f"params.{k}": pin(v) for k, v in report.params.items()})
+    return out
+
+
+def test_registry_covers_pinned_estimators():
+    assert set(ESTIMATORS) == set(PINNED) == set(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_registry_and_cli_match_pinned(name, tmp_path):
+    d, delta = CASES[name]
+    data = dataset(d)
+    report = ESTIMATORS[name](data, PrivacyBudget(EPSILON, delta), PARAMS, SEED)
+    assert fields(report) == PINNED[name]
+
+    path = tmp_path / "data.csv"
+    lines = ["person_id,sample_id," + ",".join(f"x{j + 1}" for j in range(d))]
+    for i, person in enumerate(data.values):
+        for s, sample in enumerate(person):
+            lines.append(f"{i},{s}," + ",".join(repr(float(v)) for v in sample))
+    path.write_text("\n".join(lines) + "\n")
+    argv = [
+        "estimate", "--data", str(path), "--estimator", name,
+        "--epsilon", repr(EPSILON), "--delta", repr(delta), "--k", repr(PARAMS.k),
+        "--alpha", repr(PARAMS.alpha), "--beta", repr(PARAMS.beta),
+        "--range-R", repr(PARAMS.range_R), "--seed", str(SEED),
+    ]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(argv) == 0
+    released = json.loads(out.getvalue())
+    expected = json.loads(report.to_json())
+    released.pop("wall_time_ms")
+    expected.pop("wall_time_ms")
+    assert released == expected

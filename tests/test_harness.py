@@ -1,10 +1,12 @@
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from dpmean.core import ConfigurationError, SyntheticSpec
+from dpmean import harness
+from dpmean.core import ConfigurationError, ParameterError, SyntheticSpec
 from dpmean.harness import (
     CSV_SCHEMA_VERSION,
     ExperimentConfig,
@@ -140,6 +142,45 @@ class TestRunExperiment:
         assert all(r["l2_error"] == "inf" for r in rows if r["row_type"] == "trial")
         assert float(rows[-1]["success_rate"]) == 0.0
 
+
+    def test_first_exception_stops_pending_trials(self, tmp_path, monkeypatch):
+        calls = []
+
+        def failing(config, point, trial):
+            calls.append(trial)
+            raise ParameterError("bad grid")
+
+        monkeypatch.setattr(harness, "_run_one", failing)
+        cfg = one_point_config(tmp_path, trials=20)
+        with pytest.raises(ParameterError, match="bad grid"):
+            run_experiment(cfg, threads=1)
+        assert calls == [0]
+        calls.clear()
+        with pytest.raises(ParameterError, match="bad grid"):
+            run_experiment(cfg, threads=4)
+        assert len(calls) <= 4
+
+
+    def test_many_workers_lose_no_trial(self, tmp_path, monkeypatch):
+        def cheap(config, point, trial):
+            return harness._row(config, point, "trial", trial=trial, l2_error=repr(0.01 * trial))
+
+        monkeypatch.setattr(harness, "_run_one", cheap)
+        cfg = one_point_config(tmp_path, trials=50, n=[64, 128, 256, 512])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_experiment(cfg, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        rows = read_rows(cfg.output_path)
+        trials = sorted((int(r["n"]), int(r["trial"])) for r in rows if r["row_type"] == "trial")
+        assert trials == sorted((n, t) for n in (64, 128, 256, 512) for t in range(50))
+        for n in ("64", "128", "256", "512"):
+            mine = [r["row_type"] for r in rows if r["n"] == n]
+            assert mine == ["trial"] * 50 + ["summary"]  # the summary follows all 50 trials
+        summaries = [r for r in rows if r["row_type"] == "summary"]
+        assert {r["success_rate"] for r in summaries} == {repr(16 / 50)}
 
 class TestRunTailbench:
     def test_single_bound_rows_and_flags(self, tmp_path):

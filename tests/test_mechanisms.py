@@ -13,7 +13,6 @@ from dpmean.mechanisms import (
     exponential_mechanism,
     gaussian_mechanism,
     laplace_noise,
-    ledger_total,
     private_histogram,
 )
 
@@ -143,14 +142,6 @@ class TestPrivateHistogram:
         hist = private_histogram([0.0, 100.0, -50.0], spec, PrivacyBudget(1e12, 0.0), 3)
         assert hist.n_dropped == 2
 
-    def test_csv_serialization(self):
-        spec = HistogramSpec.build(1.0, 1.0)
-        hist = private_histogram([0.5], spec, PrivacyBudget(1.0, 0.0), 3)
-        text = hist.to_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "bucket_left,bucket_right,noisy_count,released"
-        assert len(lines) == spec.num_buckets + 1
-
 
 class TestExponentialMechanism:
     def test_uniform_on_equal_scores(self):
@@ -217,33 +208,10 @@ class TestBudgetLedger:
         ledger = BudgetLedger()
         ledger.add(0.5, 0.0)
         ledger.add(0.5, 0.0)
-        assert ledger_total(ledger) == (1.0, 0.0)
+        assert ledger.total() == (1.0, 0.0)
 
     def test_empty_is_zero(self):
-        assert ledger_total(BudgetLedger()) == (0.0, 0.0)
-
-    def test_advanced_formula_frozen(self):
-        # 100 entries of eps0=0.1, delta0=1e-6:
-        # eps = 0.1 sqrt(600 ln 1e6) = 9.104562776310878
-        ledger = BudgetLedger(mode="advanced", delta0=1e-6)
-        for _ in range(100):
-            ledger.add(0.1, 0.0)
-        eps, delta = ledger_total(ledger)
-        assert math.isclose(eps, 9.104562776310878, rel_tol=1e-12)
-        assert math.isclose(delta, 1e-6, rel_tol=1e-12)
-
-    def test_advanced_requires_common_epsilon(self):
-        ledger = BudgetLedger(mode="advanced", delta0=1e-6)
-        ledger.add(0.1)
-        ledger.add(0.2)
-        with pytest.raises(ParameterError):
-            ledger_total(ledger)
-
-    def test_advanced_requires_small_epsilon(self):
-        ledger = BudgetLedger(mode="advanced", delta0=1e-6)
-        ledger.add(1.5)
-        with pytest.raises(ParameterError):
-            ledger_total(ledger)
+        assert BudgetLedger().total() == (0.0, 0.0)
 
     @given(
         st.lists(
@@ -265,6 +233,6 @@ class TestBudgetLedger:
         other = BudgetLedger()
         for eps, delta in shuffled:
             other.add(eps, delta)
-        a, b = ledger_total(ledger), ledger_total(other)
+        a, b = ledger.total(), other.total()
         assert math.isclose(a[0], b[0], rel_tol=1e-12)
         assert math.isclose(a[1], b[1], rel_tol=1e-12, abs_tol=1e-15)

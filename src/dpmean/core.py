@@ -1,9 +1,12 @@
 """Domain types, deterministic randomness, and synthetic heavy-tailed generators.
 
-Everything downstream consumes ``PersonDataset`` (n people x m samples x d
-dims), a ``PrivacyBudget``, and a synthetic distribution described by a
-``SyntheticSpec``.  All randomness flows through ``derive_rng`` so that any
-operation is bit-reproducible given (inputs, seed).
+``PersonDataset`` (n people x m samples x d dims) ingests and validates raw
+samples.  Estimators read a person only through their average: each entry
+point computes the (n, d) per-person means once and hands row slices and
+column views of them, with m, to its stages.  Budgets are ``PrivacyBudget``s
+and synthetic distributions ``SyntheticSpec``s.  All randomness flows
+through ``derive_rng`` so that any operation is bit-reproducible given
+(inputs, seed).
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -142,13 +144,6 @@ class PersonDataset:
     def person_means(self) -> np.ndarray:
         """Per-person averages S_i = (1/m) sum_j X^{(i)}_j, shape (n, d)."""
         return self.values.mean(axis=1)
-
-    def subset(self, index: Sequence[int] | slice) -> "PersonDataset":
-        return PersonDataset(self.values[index])
-
-    def coordinate(self, j: int) -> "PersonDataset":
-        """Univariate dataset of coordinate j."""
-        return PersonDataset(self.values[:, :, j : j + 1])
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,9 @@
 estimation, the clip-and-noise subroutine, and the single- and two-round
 pipelines built from them.
 
+The stages read an (n, d) array of per-person means, each the average of m
+samples; each estimator computes it once from its dataset.
+
 Logs in the radius formulas are natural; "log(1/delta)" is ln(1/delta).
 """
 
@@ -15,6 +18,7 @@ import numpy as np
 from .core import (
     ClipBall,
     EstimateReport,
+    EstimationFailedError,
     ParameterError,
     PersonDataset,
     PrivacyBudget,
@@ -55,21 +59,15 @@ def two_round_radii(n: int, m: int, d: int, k: float, epsilon: float, delta: flo
     return rho1, rho2
 
 
-def single_round_rho(
-    n: int,
-    m: int,
-    d: int,
-    k: float,
-    epsilon: float,
-    delta: float,
-    c0: float = DEFAULT_SINGLE_ROUND_CONSTANT,
-) -> float:
+def single_round_rho(n: int, m: int, d: int, k: float, epsilon: float, delta: float) -> float:
     """Clip radius for the single-round estimator:
 
     c0 * (sqrt(d ln m / m)
-          + sqrt(d)^{(k-1)/k} eps^{1/k} n^{1/k} / (m^{1-1/k} ln(1/delta)^{1/(2k)})).
+          + sqrt(d)^{(k-1)/k} eps^{1/k} n^{1/k} / (m^{1-1/k} ln(1/delta)^{1/(2k)}))
+
+    with c0 = DEFAULT_SINGLE_ROUND_CONSTANT.
     """
-    if min(n, m, d) < 1 or epsilon <= 0 or not (0 < delta < 1) or k <= 2 or c0 < 0:
+    if min(n, m, d) < 1 or epsilon <= 0 or not (0 < delta < 1) or k <= 2:
         raise ParameterError("single_round_rho arguments out of range")
     concentration = math.sqrt(d * math.log(m) / m)
     tradeoff = (
@@ -77,105 +75,88 @@ def single_round_rho(
         * (n * epsilon) ** (1 / k)
         / (m ** (1 - 1 / k) * math.sqrt(math.log(1 / delta)) ** (1 / k))
     )
-    return c0 * (concentration + tradeoff)
-
-
-def _coarse_mode_auto(d: int, delta: float) -> str:
-    # Advanced composition helps once its sqrt(6 d ln(2/delta)) denominator
-    # beats basic's d, i.e. for d > 6 ln(2/delta).
-    return "advanced" if d > 6 * math.log(2 / delta) else "basic"
+    return DEFAULT_SINGLE_ROUND_CONSTANT * (concentration + tradeoff)
 
 
 def coarse_estimate_hd(
-    data: PersonDataset,
-    budget: PrivacyBudget,
-    r: float,
-    mode: str,
-    seed: Seed,
-    range_R: float,
+    means: np.ndarray, m: int, budget: PrivacyBudget, r: float, seed: Seed, range_R: float
 ) -> np.ndarray:
-    """Coordinate-wise coarse mean with L2 error target r (approx DP only).
+    """Coordinate-wise coarse mean of the (n, d) per-person means ``means``
+    (m samples each) with L2 error target r (approx DP only).
 
-    Each coordinate runs the univariate range estimator at accuracy r/sqrt(d)
-    (bucket width half that).  Budget per coordinate by mode:
+    Each coordinate runs the univariate range estimator on its column at
+    accuracy r/sqrt(d) (bucket width half that).  The per-coordinate budget
+    is whichever split grants the larger epsilon, each sized so its
+    composition formula totals (eps, delta):
 
-    * ``basic``: (eps/d, delta/d) each; basic composition totals exactly
-      (eps, delta).
-    * ``advanced``: (eps / sqrt(6 d ln(2/delta)), delta/(2d)) each with slack
-      delta0 = delta/2, so advanced composition again totals exactly
-      (eps, delta).
-    * ``auto``: whichever grants the larger per-coordinate epsilon.
+    * basic: (eps/d, delta/d) each;
+    * advanced, used once d > 6 ln(2/delta): (eps / sqrt(6 d ln(2/delta)),
+      delta/(2d)) each with slack delta0 = delta/2.
+
+    A coordinate whose histogram releases no bucket raises
+    EstimationFailedError naming the stage and the coordinate.
     """
     if budget.delta <= 0:
         raise ParameterError("coarse_estimate_hd requires delta > 0")
-    if mode == "auto":
-        mode = _coarse_mode_auto(data.d, budget.delta)
-    if mode not in ("basic", "advanced"):
-        raise ParameterError(f"unknown mode {mode!r}")
-    d = data.d
-    if mode == "basic":
-        coord_budget = PrivacyBudget(budget.epsilon / d, budget.delta / d)
-    else:
+    d = means.shape[1]
+    if d > 6 * math.log(2 / budget.delta):
         eps0 = budget.epsilon / math.sqrt(6 * d * math.log(2 / budget.delta))
         coord_budget = PrivacyBudget(eps0, budget.delta / (2 * d))
+    else:
+        coord_budget = PrivacyBudget(budget.epsilon / d, budget.delta / d)
     width = r / math.sqrt(d) / 2
     out = np.empty(d)
     for j in range(d):
-        coarse = range_estimator(
-            data.coordinate(j), coord_budget, r=width, R=range_R, seed=derive_seed(seed, j)
-        )
+        try:
+            coarse = range_estimator(
+                means[:, j], m, coord_budget, r=width, R=range_R, seed=derive_seed(seed, j)
+            )
+        except EstimationFailedError as exc:
+            raise EstimationFailedError(f"coarse stage, coordinate {j}: {exc}") from exc
         out[j] = coarse.mu_coarse
     return out
 
 
 def clip_and_noise(
-    data: PersonDataset,
-    budget: PrivacyBudget,
-    ball: ClipBall,
-    seed: Seed,
-    tight_sensitivity: bool = False,
+    means: np.ndarray, budget: PrivacyBudget, ball: ClipBall, seed: Seed
 ) -> np.ndarray:
-    """Clip per-person averages to ``ball``, average, add Gaussian noise.
+    """Clip the (n, d) per-person means to ``ball``, average, add Gaussian noise.
 
     Noise is calibrated with the source's printed sensitivity proxy
     2 sqrt(d) rho (per-coordinate stddev 2 sqrt(d) rho sqrt(2 ln(4/delta)) / (n eps)).
-    The measured L2 sensitivity of the pre-noise average is 2 rho / n;
-    ``tight_sensitivity=True`` calibrates with 2 rho instead.
+    The measured L2 sensitivity of the pre-noise average is 2 rho / n.
     """
     if budget.delta <= 0:
         raise ParameterError("clip_and_noise requires delta > 0")
-    if ball.d != data.d:
-        raise ParameterError(f"ball dim {ball.d} != data dim {data.d}")
-    clipped = clip_ball(data.person_means(), ball)
+    n, d = means.shape
+    if ball.d != d:
+        raise ParameterError(f"ball dim {ball.d} != data dim {d}")
+    clipped = clip_ball(means, ball)
     avg = clipped.mean(axis=0)
-    proxy = (2.0 if tight_sensitivity else 2.0 * math.sqrt(data.d)) * ball.radius
-    sigma = proxy * math.sqrt(2 * math.log(4 / budget.delta)) / (data.n * budget.epsilon)
+    proxy = 2.0 * math.sqrt(d) * ball.radius
+    sigma = proxy * math.sqrt(2 * math.log(4 / budget.delta)) / (n * budget.epsilon)
     rng = derive_rng(seed)
-    return avg + sigma * rng.standard_normal(data.d)
+    return avg + sigma * rng.standard_normal(d)
 
 
 def _clip_rounds(
-    groups: list, budgets: list, radii: list, params: ProblemParams, seed: Seed
+    groups: list, m: int, budgets: list, radii: list, params: ProblemParams, seed: Seed
 ) -> tuple:
     """The iterative clip-and-noise loop shared by both estimators (CoinPress,
     Biswas, Dong, Kamath & Ullman 2020) with T = len(radii) rounds.
 
-    Stage 0 is the coarse estimate of groups[0] to L2 accuracy 16 sqrt(d/m);
-    round t = 1..T clips groups[t] to radii[t - 1] around the previous output
-    and adds noise.  Stage t draws from derive_seed(seed, t) and charges
+    ``groups`` holds (n_t, d) per-person means of m samples each.  Stage 0 is
+    the coarse estimate of groups[0] to L2 accuracy 16 sqrt(d/m); round
+    t = 1..T clips groups[t] to radii[t - 1] around the previous output and
+    adds noise.  Stage t draws from derive_seed(seed, t) and charges
     budgets[t] to the ledger as it runs.  Returns (centers, ledger), where
     centers[t] is stage t's output and centers[T] the release.
     """
     ledger = BudgetLedger()
-    data = groups[0]
+    d = groups[0].shape[1]
     centers = [
         coarse_estimate_hd(
-            data,
-            budgets[0],
-            r=16 * math.sqrt(data.d / data.m),
-            mode="auto",
-            seed=derive_seed(seed, 0),
-            range_R=params.range_R,
+            groups[0], m, budgets[0], 16 * math.sqrt(d / m), derive_seed(seed, 0), params.range_R
         )
     ]
     ledger.add(budgets[0].epsilon, budgets[0].delta)
@@ -209,9 +190,12 @@ def estimate_single_round(
     if budget.delta <= 0:
         raise ParameterError("estimate_single_round requires delta > 0")
     t0 = time.perf_counter()
+    means = data.person_means()
     stage = PrivacyBudget(budget.epsilon / 2, budget.delta / 2)
     rho = single_round_rho(data.n, data.m, data.d, params.k, stage.epsilon, stage.delta)
-    (u1, estimate), ledger = _clip_rounds([data, data], [stage, stage], [rho], params, seed)
+    (u1, estimate), ledger = _clip_rounds(
+        [means, means], data.m, [stage, stage], [rho], params, seed
+    )
     return _report(
         estimate, ledger, seed, t0, {"rho": rho, "u1": u1, "c0": DEFAULT_SINGLE_ROUND_CONSTANT}
     )
@@ -233,11 +217,12 @@ def estimate_two_round(
     if n < 1:
         raise ParameterError("need at least 3 people")
     rho1, rho2 = two_round_radii(n, data.m, data.d, params.k, budget.epsilon, budget.delta)
-    groups = [data.subset(slice(i * n, (i + 1) * n)) for i in range(3)]
+    means = data.person_means()
+    groups = [means[i * n : (i + 1) * n] for i in range(3)]
     half = PrivacyBudget(budget.epsilon / 2, budget.delta / 2)
     quarter = PrivacyBudget(budget.epsilon / 4, budget.delta / 4)
     (u1, u2, estimate), ledger = _clip_rounds(
-        groups, [half, quarter, quarter], [rho1, rho2], params, seed
+        groups, data.m, [half, quarter, quarter], [rho1, rho2], params, seed
     )
     return _report(
         estimate,

@@ -2,6 +2,9 @@
 comparisons between candidate means and their local covers, an exact greedy
 corruption-count score, and exponential-mechanism selection.
 
+The stages read an (n, d) array of per-person means, each the average of m
+samples; ``estimate_pure_full`` computes it once from its dataset.
+
 The candidate enumeration is exponential in d by design; d > 4 is rejected.
 """
 
@@ -16,6 +19,7 @@ import numpy as np
 from .core import (
     ConfigurationError,
     EstimateReport,
+    EstimationFailedError,
     ParameterError,
     PersonDataset,
     PrivacyBudget,
@@ -24,7 +28,7 @@ from .core import (
     derive_rng,
     derive_seed,
 )
-from .est1d import estimate_mean_1d
+from .est1d import _estimate_column
 from .mechanisms import exponential_mechanism
 
 __all__ = [
@@ -49,13 +53,13 @@ DEFAULT_COMPARISON_RHO_CONSTANT = 8.0
 MAX_DIMENSION = 4
 
 
-def comparison_rho(
-    m: int, k: float, alpha: float, c_rho: float = DEFAULT_COMPARISON_RHO_CONSTANT
-) -> float:
-    """Projected truncation radius c * (sqrt((k-1) ln m / m) + 1/(m alpha^{1/(k-1)}))."""
-    if m < 1 or k <= 2 or alpha <= 0 or c_rho <= 0:
+def comparison_rho(m: int, k: float, alpha: float) -> float:
+    """Projected truncation radius c * (sqrt((k-1) ln m / m) + 1/(m alpha^{1/(k-1)}))
+    with c = DEFAULT_COMPARISON_RHO_CONSTANT."""
+    if m < 1 or k <= 2 or alpha <= 0:
         raise ParameterError("comparison_rho arguments out of range")
-    return c_rho * (math.sqrt((k - 1) * math.log(m) / m) + 1.0 / (m * alpha ** (1 / (k - 1))))
+    concentration = math.sqrt((k - 1) * math.log(m) / m)
+    return DEFAULT_COMPARISON_RHO_CONSTANT * (concentration + 1.0 / (m * alpha ** (1 / (k - 1))))
 
 
 def mom_subsample_count(beta: float) -> int:
@@ -160,7 +164,6 @@ def _project_batch(
     beta: float,
     seed: Seed,
     k: float,
-    c_rho: float = DEFAULT_COMPARISON_RHO_CONSTANT,
 ):
     """Projection step of the comparison of p against every challenger at once.
 
@@ -178,7 +181,7 @@ def _project_batch(
         raise ConfigurationError(f"need at least {k_mom} people for {k_mom} subsamples, got {n}")
     block = n // k_mom
     used = block * k_mom
-    rho = comparison_rho(m, k, alpha, c_rho)
+    rho = comparison_rho(m, k, alpha)
 
     diff = challengers - p
     norms = np.linalg.norm(diff, axis=1)
@@ -197,30 +200,31 @@ def _project_batch(
 
 
 def bin_mean_comp(
-    data: PersonDataset,
+    means: np.ndarray,
+    m: int,
     p: np.ndarray,
     q: np.ndarray,
     alpha: float,
     beta: float,
     seed: Seed,
     k: float,
-    c_rho: float = DEFAULT_COMPARISON_RHO_CONSTANT,
 ) -> tuple:
     """Binary mean comparison between candidate p and challenger q.
 
-    Projects per-person averages onto (q - p)/||q - p||, truncates at radius
-    comparison_rho around p's projection, and takes the median over
-    ceil(10 ln(1/beta)) contiguous subsample means (after a seeded person
-    permutation).  Returns (winner, margin_batches): winner is "p" iff the
-    median lands at or below the p/q midpoint, and margin_batches is the exact
-    greedy number of whole-batch corruptions needed to flip the outcome.
+    Projects the (n, d) per-person averages ``means`` (m samples each) onto
+    (q - p)/||q - p||, truncates at radius comparison_rho around p's
+    projection, and takes the median over ceil(10 ln(1/beta)) contiguous
+    subsample means (after a seeded person permutation).  Returns (winner,
+    margin_batches): winner is "p" iff the median lands at or below the p/q
+    midpoint, and margin_batches is the exact greedy number of whole-batch
+    corruptions needed to flip the outcome.
     """
     p = np.atleast_1d(np.asarray(p, dtype=np.float64))
     q = np.atleast_1d(np.asarray(q, dtype=np.float64))
     if p.shape != q.shape or np.array_equal(p, q):
         raise ParameterError("need distinct points p != q of equal dimension")
     block_means, midpoints, block, rho = _project_batch(
-        data.person_means(), data.m, p, q[None, :], alpha, beta, seed, k, c_rho
+        means, m, p, q[None, :], alpha, beta, seed, k
     )
     margins, q_wins = _flip_costs(block_means, midpoints, block, rho)
     if not q_wins[0]:
@@ -233,16 +237,11 @@ def bin_mean_comp(
 
 
 def score_candidate(
-    data: PersonDataset,
-    p: np.ndarray,
-    alpha: float,
-    beta: float,
-    seed: Seed,
-    k: float,
-    c_rho: float = DEFAULT_COMPARISON_RHO_CONSTANT,
+    means: np.ndarray, m: int, p: np.ndarray, alpha: float, beta: float, seed: Seed, k: float
 ) -> ScoreRecord:
-    """Score of candidate p: zero as soon as any local-cover challenger beats
-    p, otherwise the smallest flip margin over the cover, capped at n * alpha.
+    """Score of candidate p on the (n, d) per-person means ``means`` (m
+    samples each): zero as soon as any local-cover challenger beats p,
+    otherwise the smallest flip margin over the cover, capped at n * alpha.
 
     Changing one person's batch moves the score by at most 1.
     """
@@ -252,12 +251,12 @@ def score_candidate(
     # 9 alpha / 8 in terms of the alpha seen here.
     if np.max(np.abs(p)) > 9 * alpha / 8 * (1 + 1e-9):
         raise ParameterError("candidate must satisfy ||p||_inf <= alpha (post-recentering)")
-    means = data.person_means()
-    cover = local_cover(p, alpha, data.d)
+    n, d = means.shape
+    cover = local_cover(p, alpha, d)
     assert len(cover) > 0
-    cap = data.n * alpha
+    cap = n * alpha
     block_means, midpoints, block, rho = _project_batch(
-        means, data.m, p, cover.points, alpha, beta, seed, k, c_rho
+        means, m, p, cover.points, alpha, beta, seed, k
     )
     # margins[j] is the greedy number of whole-batch corruptions that make p
     # lose to challenger j when p currently wins.
@@ -270,30 +269,32 @@ def score_candidate(
 
 
 def fine_est_pure(
-    data: PersonDataset, params: ProblemParams, epsilon: float, seed: Seed
+    means: np.ndarray, m: int, params: ProblemParams, epsilon: float, seed: Seed
 ) -> np.ndarray:
-    """Exponential-mechanism fine estimation over the global cover.
+    """Exponential-mechanism fine estimation over the global cover, on the
+    (n, d) per-person means ``means`` of m samples each.
 
     Assumes the mean satisfies ||mu||_inf <= alpha (callers recenter with a
     coarse estimate first).  Each candidate is scored at target error
     8 alpha / 9 and per-comparison failure beta / (2 |cover|); the mechanism
     samples with sensitivity 1 and budget epsilon.
     """
-    if data.d > MAX_DIMENSION:
+    d = means.shape[1]
+    if d > MAX_DIMENSION:
         raise ConfigurationError(
-            f"d = {data.d} rejected: the candidate cover grows like (sqrt(d))^d "
+            f"d = {d} rejected: the candidate cover grows like (sqrt(d))^d "
             f"and is only tractable for d <= {MAX_DIMENSION}"
         )
     if epsilon <= 0:
         raise ParameterError("epsilon must be > 0")
-    cover = global_cover(params.alpha, data.d)
+    cover = global_cover(params.alpha, d)
     alpha_test = 8 * params.alpha / 9
     beta_test = params.beta / (2 * len(cover))
 
     def scored():
         for i, point in enumerate(cover.points):
             rec = score_candidate(
-                data, point, alpha_test, beta_test, derive_seed(seed, 1, i), params.k
+                means, m, point, alpha_test, beta_test, derive_seed(seed, 1, i), params.k
             )
             yield i, rec.score
 
@@ -306,13 +307,13 @@ def estimate_pure_full(
 ) -> EstimateReport:
     """Full pure-DP pipeline over 2n people; ``budget`` must be pure (delta = 0).
 
-    The first half runs the univariate estimator per coordinate (budget
-    epsilon/d, failure beta/(2d) each) to get mu_coarse with L-inf error
-    alpha; the second half is recentered by mu_coarse and handed to
-    fine_est_pure.  The two phases touch disjoint people, so the total
-    budget is epsilon by parallel composition.  Raises ParameterError when
-    budget.delta > 0: the estimator spends no delta, so a requested delta
-    would be dropped rather than used.
+    The per-person means are computed once.  The first half of them runs the
+    univariate pipeline per coordinate (budget epsilon/d, failure beta/(2d)
+    each) to get mu_coarse with L-inf error alpha; the second half is
+    recentred as means - mu_coarse and handed to fine_est_pure.  The two
+    phases touch disjoint people, so the total budget is epsilon by parallel
+    composition.  Raises ParameterError when budget.delta > 0: the estimator
+    spends no delta, so a requested delta would be dropped rather than used.
     """
     if not budget.is_pure:
         raise ParameterError(f"pure_dp spends no delta; got delta = {budget.delta!r}, need 0")
@@ -323,8 +324,7 @@ def estimate_pure_full(
         raise ParameterError("need at least 2 people")
     dropped = data.n - 2 * half
     d = data.d
-    coarse_half = data.subset(slice(0, half))
-    fine_half = data.subset(slice(half, 2 * half))
+    means = data.person_means()
 
     coord_budget = PrivacyBudget(epsilon / d, 0.0)
     coord_params = ProblemParams(
@@ -332,16 +332,19 @@ def estimate_pure_full(
     )
     mu_coarse = np.empty(d)
     for j in range(d):
-        report = estimate_mean_1d(
-            coarse_half.coordinate(j), coord_budget, coord_params, derive_seed(seed, 0, j)
-        )
+        try:
+            report = _estimate_column(
+                means[:half, j], data.m, coord_budget, coord_params, derive_seed(seed, 0, j)
+            )
+        except EstimationFailedError as exc:
+            raise EstimationFailedError(f"coarse stage, coordinate {j}: {exc}") from exc
         mu_coarse[j] = report.estimate[0]
 
-    recentered = PersonDataset(fine_half.values - mu_coarse)
+    recentered = means[half : 2 * half] - mu_coarse
     fine_params = ProblemParams(
         k=params.k, alpha=params.alpha, beta=params.beta / 2, range_R=params.range_R
     )
-    shifted = fine_est_pure(recentered, fine_params, epsilon, derive_seed(seed, 1))
+    shifted = fine_est_pure(recentered, data.m, fine_params, epsilon, derive_seed(seed, 1))
     return EstimateReport(
         estimate=shifted + mu_coarse,
         epsilon=epsilon,

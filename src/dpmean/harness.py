@@ -367,9 +367,11 @@ def run_tailbench(config: TailbenchConfig, threads: int | None = None) -> str:
 
     One Monte Carlo sample batch per (spec, m, mode) serves the t-grids of
     every bound that applies to it.  Out-of-window t values are flagged in
-    the valid_window column, never dropped.  "pass" is the domination check
-    empirical + 3 stderr <= bound.  Runs serially: ``threads`` is accepted
-    and ignored.
+    the valid_window column, never dropped.  "pass" is 1 when the bound
+    dominates the tail (empirical + 3 stderr <= bound), 0 when the tail
+    exceeds it (empirical - 3 stderr > bound), and empty when the run cannot
+    resolve the two, e.g. 0 hits whose 3 stderr band is wider than the bound.
+    Runs serially: ``threads`` is accepted and ignored.
     """
     rows = []
     for spec, m in itertools.product(config.specs, config.m):
@@ -399,7 +401,9 @@ def run_tailbench(config: TailbenchConfig, threads: int | None = None) -> str:
             for point in tail[start : start + len(grid)]:
                 q = tailbounds.TailBoundQuery(m=m, k=spec.k, t=point.t, d=d, constant=c_cal)
                 bv = evaluator(q)
-                ok = point.empirical + 3 * point.std_error <= bv.value
+                lo = point.empirical - 3 * point.std_error
+                hi = point.empirical + 3 * point.std_error
+                verdict = 1 if hi <= bv.value else 0 if lo > bv.value else ""
                 rows.append(
                     {
                         "schema_version": CSV_SCHEMA_VERSION,
@@ -414,7 +418,7 @@ def run_tailbench(config: TailbenchConfig, threads: int | None = None) -> str:
                         "bound_value": repr(bv.value),
                         "C_cal": repr(c_cal),
                         "valid_window": int(bv.valid),
-                        "pass": int(ok),
+                        "pass": verdict,
                     }
                 )
             start += len(grid)

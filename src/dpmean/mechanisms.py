@@ -1,5 +1,5 @@
-"""Differential-privacy primitives: Laplace/Gaussian noise, private histograms,
-the exponential mechanism, and a composition ledger.
+"""Differential-privacy primitives: Laplace noise, private histograms, the
+exponential mechanism, and a composition ledger.
 
 Constants for the stability histogram follow the standard instantiation
 (threshold 1 + 2 ln(2/delta)/epsilon); the source guarantees are asymptotic,
@@ -18,7 +18,6 @@ from .core import ParameterError, PrivacyBudget, Seed, derive_rng
 
 __all__ = [
     "laplace_noise",
-    "gaussian_mechanism",
     "HistogramSpec",
     "NoisyHistogram",
     "private_histogram",
@@ -29,9 +28,11 @@ __all__ = [
 
 def _laplace(rng: np.random.Generator, scale: float, size=None) -> np.ndarray | float:
     # Inverse-CDF from a single uniform per draw keeps the stream accounting
-    # trivial: one uniform consumed per variate.
+    # trivial: one uniform consumed per variate.  A uniform of exactly 0.0
+    # gives 2|u| = 1 and log1p(-1) = -inf, so 2|u| is capped at 1 - 2**-53;
+    # every other uniform has 2|u| <= 1 - 2**-52 and its draw is unchanged.
     u = rng.random(size) - 0.5
-    return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+    return -scale * np.sign(u) * np.log1p(-np.minimum(2.0 * np.abs(u), 1.0 - 2.0**-53))
 
 
 def laplace_noise(scale: float, seed: Seed, size: int | None = None):
@@ -41,26 +42,6 @@ def laplace_noise(scale: float, seed: Seed, size: int | None = None):
     rng = derive_rng(seed)
     out = _laplace(rng, scale, size)
     return float(out) if size is None else out
-
-
-def gaussian_mechanism(
-    value: np.ndarray, l2_sensitivity: float, budget: PrivacyBudget, seed: Seed
-) -> np.ndarray:
-    """Add isotropic Gaussian noise calibrated to (epsilon, delta).
-
-    Per-coordinate stddev is ``l2_sensitivity * sqrt(2 ln(2/delta)) / epsilon``.
-    Requires delta > 0; zero sensitivity returns the value exactly.
-    """
-    if budget.delta <= 0:
-        raise ParameterError("gaussian mechanism requires delta > 0")
-    if l2_sensitivity < 0:
-        raise ParameterError("sensitivity must be >= 0")
-    value = np.atleast_1d(np.asarray(value, dtype=np.float64))
-    if l2_sensitivity == 0:
-        return value.copy()
-    sigma = l2_sensitivity * math.sqrt(2 * math.log(2 / budget.delta)) / budget.epsilon
-    rng = derive_rng(seed)
-    return value + sigma * rng.standard_normal(value.shape)
 
 
 @dataclass(frozen=True)

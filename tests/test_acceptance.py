@@ -128,7 +128,9 @@ class TestA3PureDp:
         hits = 0
         for trial in range(50):
             data = sample_dataset(spec, n, m, derive_seed(0xA3, d, trial))
-            est = esthd_pure.fine_est_pure(data, params, 2.0, derive_seed(0xA3F, d, trial))
+            est = esthd_pure.fine_est_pure(
+                data.person_means(), data.m, params, 2.0, derive_seed(0xA3F, d, trial)
+            )
             hits += np.linalg.norm(est - mu) <= alpha
         ok = hits / 50 >= 0.85
         report(f"A3(d={d})", ok, f"success={hits}/50 (>=85%) at n={n}", t0, 1200)
@@ -138,13 +140,15 @@ class TestA3PureDp:
         n, m, alpha, k = 2048, 64, 0.25, 4.0
         spec = SyntheticSpec("scaled_gaussian", mean=(alpha / 9,), k=k)
         base = sample_dataset(spec, n, m, 0xA35)
-        base_score = score_candidate(base, np.zeros(1), alpha, 0.1, 7, k=k).score
+        base_score = score_candidate(base.person_means(), m, np.zeros(1), alpha, 0.1, 7, k=k).score
         rng = derive_rng(0xA36)
         violations = 0
         for _ in range(1000):
             values = base.values.copy()
             values[rng.integers(n)] = rng.normal(loc=rng.uniform(-3, 3), size=(m, 1))
-            score = score_candidate(PersonDataset(values), np.zeros(1), alpha, 0.1, 7, k=k).score
+            score = score_candidate(
+                PersonDataset(values).person_means(), m, np.zeros(1), alpha, 0.1, 7, k=k
+            ).score
             violations += abs(score - base_score) > 1 + 1e-9
         report("A3(sens)", violations == 0, f"{violations} violations over 1000 pairs", t0, 1200)
 

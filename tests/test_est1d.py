@@ -31,6 +31,11 @@ def constant_dataset(value, n, m):
     return PersonDataset(np.full((n, m, 1), float(value)))
 
 
+def column(data):
+    """The per-person means of a univariate dataset, shape (n,)."""
+    return data.person_means()[:, 0]
+
+
 class TestCoarseResult:
     def test_midpoint_enforced(self):
         CoarseResult(mu_coarse=0.5, bucket=(0.0, 1.0), accuracy_claim=2.0)
@@ -41,7 +46,7 @@ class TestCoarseResult:
 class TestRangeEstimator:
     def test_noiseless_bucketing(self):
         data = constant_dataset(0.4, 50, 4)
-        res = range_estimator(data, PrivacyBudget(1e12, 0.0), r=1.0, R=2.0, seed=3)
+        res = range_estimator(column(data), data.m, PrivacyBudget(1e12, 0.0), r=1.0, R=2.0, seed=3)
         assert res.mu_coarse == 0.5
         assert res.bucket == (0.0, 1.0)
         assert res.accuracy_claim == 2.0
@@ -49,9 +54,9 @@ class TestRangeEstimator:
     def test_precondition_errors(self):
         data = constant_dataset(0.4, 10, 4)
         with pytest.raises(ParameterError):
-            range_estimator(data, PrivacyBudget(1.0), r=3.0, R=2.0, seed=3)
+            range_estimator(column(data), data.m, PrivacyBudget(1.0), r=3.0, R=2.0, seed=3)
         with pytest.raises(ParameterError):  # sqrt(m) r < 2
-            range_estimator(data, PrivacyBudget(1.0), r=0.5, R=2.0, seed=3)
+            range_estimator(column(data), data.m, PrivacyBudget(1.0), r=0.5, R=2.0, seed=3)
 
     def test_accuracy_monte_carlo(self):
         # |mu_coarse - 0.3| < 2r in >= 95% of 200 seeded runs
@@ -59,7 +64,8 @@ class TestRangeEstimator:
         for trial in range(200):
             data = sample_dataset(GAUSS, 500, 100, derive_seed(42, trial))
             res = range_estimator(
-                data, PrivacyBudget(1.0, 0.0), r=0.4, R=2.0, seed=derive_seed(43, trial)
+                column(data), data.m, PrivacyBudget(1.0, 0.0), r=0.4, R=2.0,
+                seed=derive_seed(43, trial),
             )
             hits += abs(res.mu_coarse - 0.3) < 0.8
         assert hits / 200 >= 0.95
@@ -72,7 +78,8 @@ class TestRangeEstimator:
             data = sample_dataset(GAUSS, 200, 100, derive_seed(5, trial))
             try:
                 res = range_estimator(
-                    data, PrivacyBudget(0.001, 0.0), r=0.4, R=2.0, seed=derive_seed(6, trial)
+                    column(data), data.m, PrivacyBudget(0.001, 0.0), r=0.4, R=2.0,
+                    seed=derive_seed(6, trial),
                 )
                 outcomes.append(abs(res.mu_coarse - 0.3) < 0.8)
             except EstimationFailedError:
@@ -82,7 +89,7 @@ class TestRangeEstimator:
     def test_all_buckets_suppressed_raises(self):
         data = constant_dataset(0.4, 5, 16)
         with pytest.raises(EstimationFailedError):
-            range_estimator(data, PrivacyBudget(0.01, 1e-9), r=1.0, R=2.0, seed=3)
+            range_estimator(column(data), data.m, PrivacyBudget(0.01, 1e-9), r=1.0, R=2.0, seed=3)
 
 
 class TestFineEstimate:
@@ -90,7 +97,7 @@ class TestFineEstimate:
         data = sample_dataset(GAUSS, 100, 10, 3)
         coarse = CoarseResult(0.5, (0.0, 1.0), 2.0)
         cfg = FineConfig(rho=1e3, u_err=0.0)  # no clipping; noise scale 2e-11
-        report = fine_estimate_1d(data, PrivacyBudget(1e12, 0.0), coarse, cfg, seed=7)
+        report = fine_estimate_1d(column(data), PrivacyBudget(1e12, 0.0), coarse, cfg, seed=7)
         grand = data.values.mean()
         assert abs(report.estimate[0] - grand) < 1e-9
 
@@ -105,7 +112,7 @@ class TestFineEstimate:
         hits = 0
         reps = 10**4
         for rep in range(reps):
-            report = fine_estimate_1d(data, budget, coarse, cfg, seed=derive_seed(11, rep))
+            report = fine_estimate_1d(column(data), budget, coarse, cfg, seed=derive_seed(11, rep))
             hits += abs(report.estimate[0] - 0.25) <= bound
         assert hits / reps >= 1 - beta
 
@@ -113,23 +120,22 @@ class TestFineEstimate:
         data = constant_dataset(0.0, 8, 4)
         coarse = CoarseResult(0.0, (-0.5, 0.5), 1.0)
         with pytest.raises(ParameterError):
-            fine_estimate_1d(data, PrivacyBudget(1.0, 1e-6), coarse, FineConfig(1.0, 0.0), 3)
+            fine_estimate_1d(
+                column(data), PrivacyBudget(1.0, 1e-6), coarse, FineConfig(1.0, 0.0), 3
+            )
 
     def test_requires_rho_above_u_err(self):
         data = constant_dataset(0.0, 8, 4)
         coarse = CoarseResult(0.0, (-0.5, 0.5), 1.0)
         with pytest.raises(ParameterError):
-            fine_estimate_1d(data, PrivacyBudget(1.0), coarse, FineConfig(0.5, 0.6), 3)
+            fine_estimate_1d(column(data), PrivacyBudget(1.0), coarse, FineConfig(0.5, 0.6), 3)
 
 
 class TestChooseRho:
     def test_frozen_example(self):
         # n=1e4, m=100, eps=1, beta=0.1, k=4, c=4 -> 2.5136166570400063
-        val = choose_rho_1d(10**4, 100, 1.0, 0.1, 4.0, 4.0)
+        val = choose_rho_1d(10**4, 100, 1.0, 0.1, 4.0)
         assert math.isclose(val, 2.5136166570400063, rel_tol=1e-12)
-
-    def test_zero_constant_degenerate(self):
-        assert choose_rho_1d(100, 100, 1.0, 0.1, 4.0, 0.0) == 0.0
 
     def test_monotone_in_n(self):
         vals = [choose_rho_1d(n, 100, 1.0, 0.1, 4.0) for n in (10, 100, 1000, 10000)]

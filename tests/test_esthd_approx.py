@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dpmean.core import (
     ClipBall,
+    EstimationFailedError,
     ParameterError,
     PersonDataset,
     PrivacyBudget,
@@ -44,7 +45,7 @@ class TestRadii:
 
     def test_single_round_frozen(self):
         # independent arithmetic: 4.44127161936601
-        val = single_round_rho(10**5, 100, 4, 4.0, 1.0, 1e-6, 4.0)
+        val = single_round_rho(10**5, 100, 4, 4.0, 1.0, 1e-6)
         assert math.isclose(val, 4.44127161936601, rel_tol=1e-10)
 
     @given(
@@ -65,15 +66,17 @@ class TestCoarseHd:
     def test_d1_reduces_to_range_estimator(self):
         spec1 = SyntheticSpec("scaled_gaussian", mean=(0.3,), k=4.0)
         data = sample_dataset(spec1, 512, 100, 3)
-        out = coarse_estimate_hd(data, BUDGET, r=1.6, mode="basic", seed=17, range_R=2.0)
-        direct = range_estimator(data, BUDGET, r=0.8, R=2.0, seed=derive_seed(17, 0))
+        out = coarse_estimate_hd(data.person_means(), data.m, BUDGET, r=1.6, seed=17, range_R=2.0)
+        direct = range_estimator(
+            data.person_means()[:, 0], data.m, BUDGET, r=0.8, R=2.0, seed=derive_seed(17, 0)
+        )
         assert out.shape == (1,)
         assert out[0] == direct.mu_coarse
 
     def test_noiseless_midpoints(self):
         data = constant_dataset([0.4, -0.4], 4096, 100)
         out = coarse_estimate_hd(
-            data, PrivacyBudget(1e9, 1e-6), r=16 * math.sqrt(2 / 100), mode="basic",
+            data.person_means(), data.m, PrivacyBudget(1e9, 1e-6), r=16 * math.sqrt(2 / 100),
             seed=3, range_R=2.0,
         )
         width = 16 * math.sqrt(2 / 100) / math.sqrt(2) / 2
@@ -84,7 +87,9 @@ class TestCoarseHd:
     def test_requires_delta(self):
         data = constant_dataset([0.0], 64, 16)
         with pytest.raises(ParameterError):
-            coarse_estimate_hd(data, PrivacyBudget(1.0, 0.0), r=1.6, mode="basic", seed=3, range_R=2.0)
+            coarse_estimate_hd(
+                data.person_means(), data.m, PrivacyBudget(1.0, 0.0), r=1.6, seed=3, range_R=2.0
+            )
 
     def test_d3_accuracy_monte_carlo(self):
         spec3 = SyntheticSpec("scaled_gaussian", mean=(0.3, -0.2, 0.1), k=4.0)
@@ -93,23 +98,36 @@ class TestCoarseHd:
         for trial in range(100):
             data = sample_dataset(spec3, 3000, 100, derive_seed(7, trial))
             out = coarse_estimate_hd(
-                data, BUDGET, r=r, mode="auto", seed=derive_seed(8, trial), range_R=2.0
+                data.person_means(), data.m, BUDGET, r=r, seed=derive_seed(8, trial), range_R=2.0
             )
             hits += np.linalg.norm(out - spec3.mean_vector()) < r
         assert hits >= 90
+
+    def test_failure_names_coordinate(self):
+        # coordinate 0 lies inside the histogram range and succeeds at this
+        # epsilon; coordinate 1 lies outside it, so no bucket is released
+        data = constant_dataset([0.4, 100.0], 4096, 100)
+        with pytest.raises(EstimationFailedError) as info:
+            coarse_estimate_hd(
+                data.person_means(), data.m, PrivacyBudget(1e9, 1e-6), r=1.6, seed=3, range_R=2.0
+            )
+        assert str(info.value) == (
+            "coarse stage, coordinate 1: all histogram buckets were suppressed"
+        )
+        assert isinstance(info.value.__cause__, EstimationFailedError)
 
 
 class TestClipAndNoise:
     def test_zero_radius_returns_center(self):
         data = sample_dataset(SPEC4, 32, 8, 3)
         ball = ClipBall(np.array([1.0, 2.0, 3.0, 4.0]), 0.0)
-        out = clip_and_noise(data, BUDGET, ball, seed=5)
+        out = clip_and_noise(data.person_means(), BUDGET, ball, seed=5)
         np.testing.assert_array_equal(out, ball.center)
 
     def test_huge_budget_recovers_grand_mean(self):
         data = sample_dataset(SPEC4, 64, 8, 3)
         ball = ClipBall(np.zeros(4), 10.0)  # contains every person mean
-        out = clip_and_noise(data, PrivacyBudget(1e12, 1e-6), ball, seed=5)
+        out = clip_and_noise(data.person_means(), PrivacyBudget(1e12, 1e-6), ball, seed=5)
         np.testing.assert_allclose(out, data.person_means().mean(axis=0), atol=1e-9)
 
     def test_noise_scale_matches_printed_calibration(self):
@@ -117,23 +135,11 @@ class TestClipAndNoise:
         n, d, rho = 100, 4, 0.5
         data = constant_dataset(np.zeros(d), n, 4)
         ball = ClipBall(np.zeros(d), rho)
+        means = data.person_means()
         draws = np.array(
-            [clip_and_noise(data, BUDGET, ball, seed=derive_seed(3, r)) for r in range(4000)]
+            [clip_and_noise(means, BUDGET, ball, seed=derive_seed(3, r)) for r in range(4000)]
         )
         expected = 2 * math.sqrt(d) * rho * math.sqrt(2 * math.log(4 / 1e-6)) / (n * 1.0)
-        assert math.isclose(draws.std(ddof=1), expected, rel_tol=0.05)
-
-    def test_tight_sensitivity_flag(self):
-        n, d, rho = 100, 4, 0.5
-        data = constant_dataset(np.zeros(d), n, 4)
-        ball = ClipBall(np.zeros(d), rho)
-        draws = np.array(
-            [
-                clip_and_noise(data, BUDGET, ball, seed=derive_seed(9, r), tight_sensitivity=True)
-                for r in range(4000)
-            ]
-        )
-        expected = 2 * rho * math.sqrt(2 * math.log(4 / 1e-6)) / (n * 1.0)
         assert math.isclose(draws.std(ddof=1), expected, rel_tol=0.05)
 
     def test_sensitivity_witness_exact(self):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from dpmean import est1d
 from dpmean.core import (
     ConfigurationError,
+    EstimationFailedError,
     ParameterError,
     PersonDataset,
     PrivacyBudget,
@@ -32,7 +34,7 @@ def gauss(mean, k=4.0):
 class TestConfigHelpers:
     def test_rho_formula(self):
         # c * (sqrt((k-1) ln m / m) + 1/(m alpha^{1/(k-1)}))
-        val = comparison_rho(64, 4.0, 0.25, 8.0)
+        val = comparison_rho(64, 4.0, 0.25)
         expected = 8 * (math.sqrt(3 * math.log(64) / 64) + 1 / (64 * 0.25 ** (1 / 3)))
         assert math.isclose(val, expected, rel_tol=1e-12)
 
@@ -82,7 +84,7 @@ class TestBinMeanComp:
     def test_mean_at_p_wins(self):
         data = sample_dataset(gauss([0.0, 0.0]), 4096, 64, 3)
         winner, margin = bin_mean_comp(
-            data, np.zeros(2), np.array([2.0, 0.0]), 0.25, 0.1, 7, k=4.0
+            data.person_means(), data.m, np.zeros(2), np.array([2.0, 0.0]), 0.25, 0.1, 7, k=4.0
         )
         assert winner == "p"
         assert margin > 0
@@ -90,7 +92,7 @@ class TestBinMeanComp:
     def test_mean_at_q_loses(self):
         data = sample_dataset(gauss([2.0, 0.0]), 4096, 64, 3)
         winner, margin = bin_mean_comp(
-            data, np.zeros(2), np.array([2.0, 0.0]), 0.25, 0.1, 7, k=4.0
+            data.person_means(), data.m, np.zeros(2), np.array([2.0, 0.0]), 0.25, 0.1, 7, k=4.0
         )
         assert winner == "q"
         assert margin > 0
@@ -101,24 +103,28 @@ class TestBinMeanComp:
         data = sample_dataset(gauss([0.5, 0.0]), n, 64, 3)
         rho = comparison_rho(64, 4.0, alpha)
         _, margin = bin_mean_comp(
-            data, np.array([0.0, 0.0]), np.array([1.0, 0.0]), alpha, 0.1, 7, k=4.0
+            data.person_means(), data.m, np.array([0.0, 0.0]), np.array([1.0, 0.0]), alpha, 0.1, 7,
+            k=4.0,
         )
         assert margin < 0.1 * n * alpha / rho
 
     def test_identical_points_rejected(self):
         data = sample_dataset(gauss([0.0]), 256, 8, 3)
         with pytest.raises(ParameterError):
-            bin_mean_comp(data, np.zeros(1), np.zeros(1), 0.25, 0.1, 7, k=4.0)
+            bin_mean_comp(
+                data.person_means(), data.m, np.zeros(1), np.zeros(1), 0.25, 0.1, 7, k=4.0
+            )
 
     def test_too_few_people_rejected(self):
         data = sample_dataset(gauss([0.0]), 10, 8, 3)
         with pytest.raises(ConfigurationError):
-            bin_mean_comp(data, np.zeros(1), np.ones(1), 0.25, 0.1, 7, k=4.0)
+            bin_mean_comp(data.person_means(), data.m, np.zeros(1), np.ones(1), 0.25, 0.1, 7, k=4.0)
 
     def test_deterministic(self):
         data = sample_dataset(gauss([0.0, 0.0]), 1024, 16, 3)
-        a = bin_mean_comp(data, np.zeros(2), np.array([1.0, 0.0]), 0.25, 0.1, 7, k=4.0)
-        b = bin_mean_comp(data, np.zeros(2), np.array([1.0, 0.0]), 0.25, 0.1, 7, k=4.0)
+        means = data.person_means()
+        a = bin_mean_comp(means, data.m, np.zeros(2), np.array([1.0, 0.0]), 0.25, 0.1, 7, k=4.0)
+        b = bin_mean_comp(means, data.m, np.zeros(2), np.array([1.0, 0.0]), 0.25, 0.1, 7, k=4.0)
         assert a == b
 
     def test_margin_lower_bound_score1_regime(self):
@@ -133,7 +139,7 @@ class TestBinMeanComp:
         for trial in range(100):
             data = sample_dataset(gauss(mu), n, m, derive_seed(1234, trial))
             winner, margin = bin_mean_comp(
-                data, np.zeros(2), q, alpha, 0.1, derive_seed(99, trial), k=k
+                data.person_means(), data.m, np.zeros(2), q, alpha, 0.1, derive_seed(99, trial), k=k
             )
             hits += winner == "p" and margin >= floor
         assert hits >= 95
@@ -143,26 +149,26 @@ class TestScoreCandidate:
     def test_score_positive_at_truth(self):
         mu = np.array([0.25 / 9])
         data = sample_dataset(gauss(mu), 2**13, 64, 3)
-        rec = score_candidate(data, np.zeros(1), 0.25, 0.01, 7, k=4.0)
+        rec = score_candidate(data.person_means(), data.m, np.zeros(1), 0.25, 0.01, 7, k=4.0)
         assert rec.score > 0
 
     def test_score_zero_far_from_truth(self):
         # ||p - mu|| > 9 alpha / 8 => score 0 whp
         alpha = 0.25
         data = sample_dataset(gauss([1.5 * alpha]), 2**13, 64, 3)
-        rec = score_candidate(data, np.zeros(1), alpha, 0.01, 7, k=4.0)
+        rec = score_candidate(data.person_means(), data.m, np.zeros(1), alpha, 0.01, 7, k=4.0)
         assert rec.score == 0.0
 
     def test_score_capped(self):
         data = PersonDataset(np.zeros((512, 16, 1)))  # all mass at the candidate
-        rec = score_candidate(data, np.zeros(1), 0.25, 0.1, 7, k=4.0)
+        rec = score_candidate(data.person_means(), data.m, np.zeros(1), 0.25, 0.1, 7, k=4.0)
         assert rec.score <= rec.cap == 512 * 0.25
 
     def test_sensitivity_one_batch(self):
         # |score(X) - score(X')| <= 1 over 1000 random one-person replacements
         n, m, alpha, k = 2048, 16, 0.25, 4.0
         base = sample_dataset(gauss([alpha / 9]), n, m, 3)
-        base_score = score_candidate(base, np.zeros(1), alpha, 0.1, 7, k=k).score
+        base_score = score_candidate(base.person_means(), m, np.zeros(1), alpha, 0.1, 7, k=k).score
         rng = np.random.default_rng(5)
         violations = 0
         for _ in range(1000):
@@ -170,7 +176,9 @@ class TestScoreCandidate:
             person = rng.integers(n)
             values[person] = rng.normal(loc=rng.uniform(-3, 3), size=(m, 1))
             neighbor = PersonDataset(values)
-            score = score_candidate(neighbor, np.zeros(1), alpha, 0.1, 7, k=k).score
+            score = score_candidate(
+                neighbor.person_means(), m, np.zeros(1), alpha, 0.1, 7, k=k
+            ).score
             if abs(score - base_score) > 1 + 1e-9:
                 violations += 1
         assert violations == 0
@@ -187,7 +195,9 @@ class TestScoreCandidate:
             for person in order[batch : batch + 40]:
                 values[person] = 5.0
             scores.append(
-                score_candidate(PersonDataset(values), np.zeros(1), alpha, 0.1, 7, k=k).score
+                score_candidate(
+                    PersonDataset(values).person_means(), m, np.zeros(1), alpha, 0.1, 7, k=k
+                ).score
             )
         assert all(b <= a + 1e-9 for a, b in zip(scores, scores[1:]))
 
@@ -217,15 +227,15 @@ class TestFineEstPure:
         # must still be deterministic per seed
         data = PersonDataset(np.zeros((512, 16, 1)))
         params = ProblemParams(k=4.0, alpha=0.25, beta=0.1, range_R=2.0)
-        a = fine_est_pure(data, params, 2.0, 3)
-        b = fine_est_pure(data, params, 2.0, 3)
+        a = fine_est_pure(data.person_means(), data.m, params, 2.0, 3)
+        b = fine_est_pure(data.person_means(), data.m, params, 2.0, 3)
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_high_dimension(self):
         data = PersonDataset(np.zeros((32, 4, 5)))
         params = ProblemParams(k=4.0, alpha=0.25, beta=0.1, range_R=2.0)
         with pytest.raises(ConfigurationError, match="cover"):
-            fine_est_pure(data, params, 2.0, 3)
+            fine_est_pure(data.person_means(), data.m, params, 2.0, 3)
 
     def test_d1_recovers_near_cover_point(self):
         params = ProblemParams(k=4.0, alpha=0.25, beta=0.1, range_R=2.0)
@@ -233,7 +243,7 @@ class TestFineEstPure:
         hits = 0
         for trial in range(10):
             data = sample_dataset(gauss(mu), 2**13, 64, derive_seed(200, trial))
-            est = fine_est_pure(data, params, 2.0, derive_seed(201, trial))
+            est = fine_est_pure(data.person_means(), data.m, params, 2.0, derive_seed(201, trial))
             hits += np.linalg.norm(est - mu) <= 0.25
         assert hits >= 9
 
@@ -268,3 +278,25 @@ class TestEstimatePureFull:
         params = ProblemParams(k=4.0, alpha=0.25, beta=0.1, range_R=2.0)
         with pytest.raises(ParameterError, match="delta"):
             estimate_pure_full(data, PrivacyBudget(2.0, 1e-6), params, 5)
+
+    def test_coarse_failure_names_coordinate(self, monkeypatch):
+        # The pure histogram releases every bucket, so the coarse range step
+        # is made to fail on its second call, which is coordinate 1's.
+        calls = []
+        range_estimator = est1d.range_estimator
+
+        def failing_second(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise EstimationFailedError("all histogram buckets were suppressed")
+            return range_estimator(*args, **kwargs)
+
+        monkeypatch.setattr(est1d, "range_estimator", failing_second)
+        data = PersonDataset(np.full((2048, 64, 2), 0.11))
+        params = ProblemParams(k=4.0, alpha=0.25, beta=0.1, range_R=2.0)
+        with pytest.raises(EstimationFailedError) as info:
+            estimate_pure_full(data, PrivacyBudget(2.0), params, 5)
+        assert str(info.value) == (
+            "coarse stage, coordinate 1: all histogram buckets were suppressed"
+        )
+        assert isinstance(info.value.__cause__, EstimationFailedError)

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from dpmean import harness
-from dpmean.core import ConfigurationError, ParameterError, SyntheticSpec
+from dpmean.core import (
+    ConfigurationError,
+    ParameterError,
+    PersonDataset,
+    PrivacyBudget,
+    ProblemParams,
+    SyntheticSpec,
+    sample_dataset,
+)
 from dpmean.harness import (
     CSV_SCHEMA_VERSION,
     ExperimentConfig,
@@ -40,6 +48,35 @@ def one_point_config(tmp_path, trials=1, name="out.csv", estimator="est1d", **ov
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+# estimator -> (dimension, delta) of an instance it accepts
+REGISTRY_CASES = {
+    "est1d": (1, 0.0),
+    "hd_single": (2, 1e-6),
+    "hd_two_round": (2, 1e-6),
+    "pure_dp": (2, 0.0),
+}
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("name", sorted(harness.ESTIMATORS))
+    def test_means_computed_once_and_no_dataset_copies(self, name, monkeypatch):
+        # every stage reads row slices and column views of one means array
+        d, delta = REGISTRY_CASES[name]
+        spec = SyntheticSpec("scaled_gaussian", mean=(0.3,) * d, k=4.0)
+        data = sample_dataset(spec, 900, 25, 3)
+        calls = {"person_means": 0, "__post_init__": 0}
+        for attr in calls:
+
+            def counted(self, _original=getattr(PersonDataset, attr), _attr=attr):
+                calls[_attr] += 1
+                return _original(self)
+
+            monkeypatch.setattr(PersonDataset, attr, counted)
+        params = ProblemParams(k=4.0, alpha=0.5, beta=0.1, range_R=2.0)
+        harness.ESTIMATORS[name](data, PrivacyBudget(2.0, delta), params, 7)
+        assert calls == {"person_means": 1, "__post_init__": 0}
 
 
 class TestConfigValidation:
@@ -199,6 +236,26 @@ class TestRunTailbench:
         assert rows[0]["bound_name"] == "berry_esseen"
         assert rows[0]["valid_window"] == "1"
         assert rows[0]["pass"] == "1"
+
+    def test_unresolved_row_left_blank(self, tmp_path):
+        # 0 hits in 1e5 trials at the largest t: 3 stderr (1.5e-5) is wider
+        # than the bound (1.1e-5), so the row neither passes nor fails
+        spec4 = SyntheticSpec("scaled_gaussian", mean=(0.0,) * 4, k=4.0)
+        cfg = TailbenchConfig(
+            specs=[spec4],
+            m=[64],
+            bounds=["highd"],
+            trials=10**5,
+            seed=5,
+            output_path=str(tmp_path / "tb4.csv"),
+        )
+        run_tailbench(cfg)
+        rows = read_rows(cfg.output_path)
+        last = rows[-1]
+        empirical, stderr = float(last["empirical"]), float(last["stderr"])
+        assert empirical == 0.0
+        assert empirical - 3 * stderr <= float(last["bound_value"]) < empirical + 3 * stderr
+        assert last["pass"] == ""
 
     def test_invalid_domain_flagged_not_dropped(self, tmp_path):
         # heavytail grid points sit outside the explicit window at m=16 but

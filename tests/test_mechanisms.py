@@ -10,8 +10,8 @@ from dpmean.mechanisms import (
     BudgetLedger,
     HistogramSpec,
     NoisyHistogram,
+    _laplace,
     exponential_mechanism,
-    gaussian_mechanism,
     laplace_noise,
     private_histogram,
 )
@@ -43,25 +43,28 @@ class TestLaplace:
         with pytest.raises(ParameterError):
             laplace_noise(0.0, seed=4)
 
+    def test_zero_uniform_gives_finite_draw(self):
+        # rng.random() may return exactly 0.0; the draw is then the capped
+        # extreme -scale * 53 ln 2, not -inf, for a scalar and for an array.
+        class ZeroUniform:
+            def random(self, size=None):
+                return 0.0 if size is None else np.zeros(size)
 
-class TestGaussianMechanism:
-    def test_zero_sensitivity_identity(self):
-        out = gaussian_mechanism(np.array([1.0, 2.0]), 0.0, PrivacyBudget(1.0, 0.01), 7)
-        np.testing.assert_array_equal(out, [1.0, 2.0])
+        scalar = _laplace(ZeroUniform(), 2.0)
+        array = _laplace(ZeroUniform(), 2.0, 3)
+        assert math.isfinite(scalar)
+        assert np.isfinite(array).all()
+        assert math.isclose(scalar, -2.0 * 53 * math.log(2), rel_tol=1e-12)
+        np.testing.assert_array_equal(array, np.full(3, scalar))
 
-    def test_requires_delta(self):
-        with pytest.raises(ParameterError):
-            gaussian_mechanism(np.zeros(2), 1.0, PrivacyBudget(1.0, 0.0), 7)
+    def test_smallest_nonzero_uniform_unchanged(self):
+        # the cap leaves every nonzero uniform's draw as the uncapped formula gives it
+        class TinyUniform:
+            def random(self, size=None):
+                return 2.0**-53
 
-    def test_shape_preserved(self):
-        out = gaussian_mechanism(np.array([1.0, 2.0, 3.0]), 1.0, PrivacyBudget(1.0, 0.01), 7)
-        assert out.shape == (3,)
-
-    def test_stddev_calibration(self):
-        # delta = 0.01 => sd = sqrt(2 ln 200) = 3.2552472614374586
-        budget = PrivacyBudget(1.0, 0.01)
-        noise = gaussian_mechanism(np.zeros(10**6), 1.0, budget, 13)
-        assert math.isclose(noise.std(ddof=1), 3.2552472614374586, rel_tol=0.01)
+        u = 2.0**-53 - 0.5
+        assert _laplace(TinyUniform(), 1.0) == -np.sign(u) * np.log1p(-2.0 * abs(u))
 
 
 class TestHistogramSpec:

@@ -5,6 +5,14 @@ corruption-count score, and exponential-mechanism selection.
 The stages read an (n, d) array of per-person means, each the average of m
 samples; ``estimate_pure_full`` computes it once from its dataset.
 
+A comparison's subsample means are block means of truncated projections.
+Projection is linear, so each candidate block-averages its people once and
+projects the k_mom block means onto all its challengers.  Truncation at
+radius rho around p's projection touches only people with ||x - p|| > rho,
+because |<dir, x - p>| <= ||x - p|| for a unit direction; those people
+stand in as p in the block average and are projected one by one, to add
+their truncated projections to their block means.
+
 The candidate enumeration is exponential in d by design; d > 4 is rejected.
 """
 
@@ -38,7 +46,6 @@ __all__ = [
     "mom_subsample_count",
     "global_cover",
     "local_cover",
-    "bin_mean_comp",
     "score_candidate",
     "fine_est_pure",
     "estimate_pure_full",
@@ -167,13 +174,25 @@ def _project_batch(
 ):
     """Projection step of the comparison of p against every challenger at once.
 
-    Projects the seeded permutation of the per-person averages onto each
-    direction (q - p)/||q - p||, truncates at comparison_rho around p's
-    projection, and averages contiguous blocks.  Returns (block_means,
+    The comparison projects the seeded permutation of the per-person averages
+    onto each direction (q - p)/||q - p||, truncates at comparison_rho around
+    p's projection, and averages contiguous blocks.  Returns (block_means,
     midpoints, block, rho): block_means is (k_mom, nq) and midpoints[j] the
     p/q midpoint on direction j; p wins challenger j when the median of
     column j lands at or below midpoints[j] (p0 < q0 always, by construction
     of the direction).
+
+    Block means commute with projection, so the (used, d) people are
+    block-averaged first and the (k_mom, d) result is projected.  Truncation
+    is the only non-linear step, and |<dir, x - p>| <= ||x - p||, so a person
+    within rho of p is never truncated on any direction.  The people with
+    ||x - p|| > rho (1 - 1e-12) stand in as p in the block average, so the
+    block sums only ever hold values within rho of p and one extreme person
+    cannot swamp the rest of their block; each is then projected on its own
+    and adds (truncated projection - p0) / block to its block's row.  The
+    1e-12 slack sends a person whose rounded projection could still land
+    past p0 +- rho down that explicit path.  The cost is O(used d + far nq)
+    rather than O(used nq).
     """
     n = means.shape[0]
     k_mom = mom_subsample_count(beta)
@@ -193,47 +212,15 @@ def _project_batch(
     midpoints = (p0 + q0) / 2
 
     perm = derive_rng(seed).permutation(n)[:used]
-    proj = means[perm] @ dirs.T  # (used, nq)
-    np.clip(proj, p0 - rho, p0 + rho, out=proj)
-    block_means = proj.reshape(k_mom, block, -1).mean(axis=1)  # (k_mom, nq)
+    x = means[perm]  # (used, d)
+    # A mean near the float limit overflows to an infinite distance: far.
+    with np.errstate(over="ignore"):
+        far = np.flatnonzero(np.linalg.norm(x - p, axis=1) > rho * (1 - 1e-12))
+    truncated = np.clip(x[far] @ dirs.T, p0 - rho, p0 + rho)  # (far, nq)
+    x[far] = p
+    block_means = x.reshape(k_mom, block, -1).mean(axis=1) @ dirs.T  # (k_mom, nq)
+    np.add.at(block_means, far // block, (truncated - p0) / block)
     return block_means, midpoints, block, rho
-
-
-def bin_mean_comp(
-    means: np.ndarray,
-    m: int,
-    p: np.ndarray,
-    q: np.ndarray,
-    alpha: float,
-    beta: float,
-    seed: Seed,
-    k: float,
-) -> tuple:
-    """Binary mean comparison between candidate p and challenger q.
-
-    Projects the (n, d) per-person averages ``means`` (m samples each) onto
-    (q - p)/||q - p||, truncates at radius comparison_rho around p's
-    projection, and takes the median over ceil(10 ln(1/beta)) contiguous
-    subsample means (after a seeded person permutation).  Returns (winner,
-    margin_batches): winner is "p" iff the median lands at or below the p/q
-    midpoint, and margin_batches is the exact greedy number of whole-batch
-    corruptions needed to flip the outcome.
-    """
-    p = np.atleast_1d(np.asarray(p, dtype=np.float64))
-    q = np.atleast_1d(np.asarray(q, dtype=np.float64))
-    if p.shape != q.shape or np.array_equal(p, q):
-        raise ParameterError("need distinct points p != q of equal dimension")
-    block_means, midpoints, block, rho = _project_batch(
-        means, m, p, q[None, :], alpha, beta, seed, k
-    )
-    margins, q_wins = _flip_costs(block_means, midpoints, block, rho)
-    if not q_wins[0]:
-        return "p", float(margins[0])
-    # Flip the other way: push the median back down to the midpoint.  Mirror
-    # the projections so the same push-up greedy applies; median <= midpoint
-    # counts as p winning, so mirror strictly below.
-    margins, _ = _flip_costs(-block_means, -midpoints, block, rho)
-    return "q", float(margins[0])
 
 
 def score_candidate(

@@ -12,11 +12,13 @@ from dpmean.core import (
     PrivacyBudget,
     ProblemParams,
     SyntheticSpec,
+    derive_rng,
     derive_seed,
     sample_dataset,
 )
 from dpmean.esthd_pure import (
-    bin_mean_comp,
+    _flip_costs,
+    _project_batch,
     comparison_rho,
     estimate_pure_full,
     fine_est_pure,
@@ -29,6 +31,35 @@ from dpmean.esthd_pure import (
 
 def gauss(mean, k=4.0):
     return SyntheticSpec("scaled_gaussian", mean=tuple(np.atleast_1d(mean)), k=k)
+
+
+def compare(means, m, p, q, alpha, beta, seed, k):
+    """The paper's binary mean comparison of p against one challenger q, run
+    through the batch path that score_candidate uses.  Returns (margin,
+    q_wins): q_wins when the median lands above the p/q midpoint, and
+    otherwise margin is the greedy number of whole-batch corruptions that
+    make q win."""
+    block_means, midpoints, block, rho = _project_batch(
+        means, m, p, q[None, :], alpha, beta, seed, k
+    )
+    margins, q_wins = _flip_costs(block_means, midpoints, block, rho)
+    return float(margins[0]), bool(q_wins[0])
+
+
+def clip_then_block_mean(means, m, p, challengers, alpha, beta, seed, k):
+    """Reference for _project_batch's block means: project every used person
+    on every direction, truncate at rho around p's projection, then average
+    each block."""
+    n = means.shape[0]
+    k_mom = mom_subsample_count(beta)
+    block = n // k_mom
+    rho = comparison_rho(m, k, alpha)
+    diff = challengers - p
+    dirs = diff / np.linalg.norm(diff, axis=1)[:, None]
+    p0 = dirs @ p
+    perm = derive_rng(seed).permutation(n)[: block * k_mom]
+    proj = np.clip(means[perm] @ dirs.T, p0 - rho, p0 + rho)
+    return proj.reshape(k_mom, block, -1).mean(axis=1)
 
 
 class TestConfigHelpers:
@@ -81,50 +112,53 @@ class TestCovers:
 
 
 class TestBinMeanComp:
+    """The one-challenger comparison through _project_batch and _flip_costs."""
+
     def test_mean_at_p_wins(self):
         data = sample_dataset(gauss([0.0, 0.0]), 4096, 64, 3)
-        winner, margin = bin_mean_comp(
+        margin, q_wins = compare(
             data.person_means(), data.m, np.zeros(2), np.array([2.0, 0.0]), 0.25, 0.1, 7, k=4.0
         )
-        assert winner == "p"
+        assert not q_wins
         assert margin > 0
 
     def test_mean_at_q_loses(self):
         data = sample_dataset(gauss([2.0, 0.0]), 4096, 64, 3)
-        winner, margin = bin_mean_comp(
+        _, q_wins = compare(
             data.person_means(), data.m, np.zeros(2), np.array([2.0, 0.0]), 0.25, 0.1, 7, k=4.0
         )
-        assert winner == "q"
-        assert margin > 0
+        assert q_wins
 
     def test_symmetric_margin_small(self):
-        # p, q symmetric about the data mean: margin < 0.1 * n * alpha / rho
+        # p, q symmetric about the data mean: whichever of the two wins with
+        # the other as challenger, its margin is < 0.1 * n * alpha / rho
         n, alpha = 4096, 0.25
         data = sample_dataset(gauss([0.5, 0.0]), n, 64, 3)
         rho = comparison_rho(64, 4.0, alpha)
-        _, margin = bin_mean_comp(
-            data.person_means(), data.m, np.array([0.0, 0.0]), np.array([1.0, 0.0]), alpha, 0.1, 7,
-            k=4.0,
-        )
-        assert margin < 0.1 * n * alpha / rho
+        p, q = np.array([0.0, 0.0]), np.array([1.0, 0.0])
+        winner_margins = []
+        for a, b in ((p, q), (q, p)):
+            margin, b_wins = compare(data.person_means(), data.m, a, b, alpha, 0.1, 7, k=4.0)
+            if not b_wins:
+                winner_margins.append(margin)
+        assert winner_margins
+        assert all(margin < 0.1 * n * alpha / rho for margin in winner_margins)
 
     def test_identical_points_rejected(self):
         data = sample_dataset(gauss([0.0]), 256, 8, 3)
         with pytest.raises(ParameterError):
-            bin_mean_comp(
-                data.person_means(), data.m, np.zeros(1), np.zeros(1), 0.25, 0.1, 7, k=4.0
-            )
+            compare(data.person_means(), data.m, np.zeros(1), np.zeros(1), 0.25, 0.1, 7, k=4.0)
 
     def test_too_few_people_rejected(self):
         data = sample_dataset(gauss([0.0]), 10, 8, 3)
         with pytest.raises(ConfigurationError):
-            bin_mean_comp(data.person_means(), data.m, np.zeros(1), np.ones(1), 0.25, 0.1, 7, k=4.0)
+            compare(data.person_means(), data.m, np.zeros(1), np.ones(1), 0.25, 0.1, 7, k=4.0)
 
     def test_deterministic(self):
         data = sample_dataset(gauss([0.0, 0.0]), 1024, 16, 3)
         means = data.person_means()
-        a = bin_mean_comp(means, data.m, np.zeros(2), np.array([1.0, 0.0]), 0.25, 0.1, 7, k=4.0)
-        b = bin_mean_comp(means, data.m, np.zeros(2), np.array([1.0, 0.0]), 0.25, 0.1, 7, k=4.0)
+        a = compare(means, data.m, np.zeros(2), np.array([1.0, 0.0]), 0.25, 0.1, 7, k=4.0)
+        b = compare(means, data.m, np.zeros(2), np.array([1.0, 0.0]), 0.25, 0.1, 7, k=4.0)
         assert a == b
 
     def test_margin_lower_bound_score1_regime(self):
@@ -138,11 +172,70 @@ class TestBinMeanComp:
         hits = 0
         for trial in range(100):
             data = sample_dataset(gauss(mu), n, m, derive_seed(1234, trial))
-            winner, margin = bin_mean_comp(
+            margin, q_wins = compare(
                 data.person_means(), data.m, np.zeros(2), q, alpha, 0.1, derive_seed(99, trial), k=k
             )
-            hits += winner == "p" and margin >= floor
+            hits += not q_wins and margin >= floor
         assert hits >= 95
+
+
+class TestProjectBatchLinearity:
+    """_project_batch block-averages before it projects and truncates only
+    the people beyond rho of p; margins and verdicts match truncating every
+    projection first."""
+
+    M, K, ALPHA, BETA = 64, 4.0, 8 * 0.25 / 9, 0.1 / 18
+    T5 = SyntheticSpec("student_t", mean=(0.0, 0.05), k=4.0, extra={"df": 5.0})
+
+    @staticmethod
+    def planted(means, seed, count, radii):
+        # count people moved radii[0] to radii[1] away from the origin, beyond rho
+        rng = np.random.default_rng(seed)
+        means = means.copy()
+        angle = rng.uniform(0, 2 * np.pi, count)
+        radius = rng.uniform(*radii, count)
+        rows = rng.choice(means.shape[0], count, replace=False)
+        means[rows] = radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        return means
+
+    @pytest.mark.parametrize(
+        "spec,n,plant,radii",
+        [
+            (gauss([0.02, -0.02]), 2**12, 0, None),
+            (gauss([0.02, -0.02]), 2**12, 200, (4, 12)),
+            (T5, 2**11, 0, None),
+            (T5, 2**11, 40, (4, 12)),
+            # a person ~1e20 away (ulp 16384) swamps an unclipped block sum
+            # of O(1) neighbours
+            (gauss([0.02, -0.02]), 2**14, 40, (1e20, 3e20)),
+            # blocks holding two people near the float limit overflow an
+            # unclipped block sum to inf
+            (gauss([0.02, -0.02]), 2**12, 200, (1e308, 1.7e308)),
+        ],
+    )
+    def test_matches_clip_then_block_mean(self, spec, n, plant, radii):
+        means = sample_dataset(spec, n, self.M, 21).person_means()
+        if plant:
+            means = self.planted(means, 22, plant, radii)
+        far_people = 0
+        for i, p in enumerate(global_cover(0.25, 2).points):
+            challengers = local_cover(p, self.ALPHA, 2).points
+            seed = derive_seed(7, i)
+            args = (means, self.M, p, challengers, self.ALPHA, self.BETA, seed, self.K)
+            block_means, midpoints, block, rho = _project_batch(*args)
+            expected = clip_then_block_mean(*args)
+            np.testing.assert_allclose(block_means, expected, rtol=0, atol=1e-12)
+            margins, flags = _flip_costs(block_means, midpoints, block, rho)
+            ref_margins, ref_flags = _flip_costs(expected, midpoints, block, rho)
+            np.testing.assert_array_equal(margins, ref_margins)
+            np.testing.assert_array_equal(flags, ref_flags)
+            with np.errstate(over="ignore"):
+                far = np.linalg.norm(means - p, axis=1) > rho
+            far_people += np.count_nonzero(far)
+            if radii is not None and radii[0] > 1e300:
+                perm = derive_rng(seed).permutation(n)[: block * len(block_means)]
+                assert np.bincount(np.flatnonzero(far[perm]) // block).max() >= 2
+        assert (far_people > 0) == (plant > 0)
 
 
 class TestScoreCandidate:

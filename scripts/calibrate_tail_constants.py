@@ -42,9 +42,8 @@ def worst_ratio(family: str, bound_name: str, trials: int, seed: int) -> float:
             for d in dims:
                 spec = family_spec(family, k, d)
                 grid = acceptance_t_grid(bound_name, m, k, d)
-                mode = "one_sided" if d == 1 else "norm"
                 run_seed = derive_seed(seed, stable_hash([family, bound_name, k, m, d]))
-                for point in mc_tail(spec, m, d, grid, trials, run_seed, mode=mode):
+                for point in mc_tail(spec, m, grid, trials, run_seed):
                     q = TailBoundQuery(m=m, k=k, t=point.t, d=d, constant=1.0)
                     ratio = (point.empirical + 3 * point.std_error) / evaluator(q).value
                     worst = max(worst, ratio)

@@ -11,7 +11,6 @@ from .core import (
     PrivacyBudget,
     ProblemParams,
     SyntheticSpec,
-    check_moment,
     derive_rng,
     derive_seed,
     sample_dataset,
@@ -32,7 +31,6 @@ __all__ = [
     "PrivacyBudget",
     "ProblemParams",
     "SyntheticSpec",
-    "check_moment",
     "derive_rng",
     "derive_seed",
     "sample_dataset",

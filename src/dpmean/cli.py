@@ -23,6 +23,7 @@ from .core import (
     PrivacyBudget,
     ProblemParams,
     SyntheticSpec,
+    config_errors,
     sample_dataset,
 )
 from .clipping import clip_ball, trunc_1d
@@ -40,8 +41,10 @@ def read_dataset_csv(path: str) -> PersonDataset:
     """Parse the dataset interchange format.
 
     Header ``person_id,sample_id,x1,...,xd``; every person must carry the
-    same number of samples.  Samples are ordered by sample_id within person;
-    people by first appearance.
+    same number of samples, and no person two samples with equal keys.
+    Samples are ordered by sample_id within person, numerically when the id
+    is a decimal number (so ``1`` and ``1.0`` are the same key); people by
+    first appearance.
     """
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
@@ -54,7 +57,13 @@ def read_dataset_csv(path: str) -> PersonDataset:
         if name != f"x{i}":
             raise DatasetFormatError(f"line 1: expected column x{i}, found {name!r}")
     d = len(header) - 2
-    people: dict = {}
+
+    def sample_key(sample):
+        # numeric iff "-"? then decimal digits with at most one ".", which float() parses
+        numeric = sample.removeprefix("-").replace(".", "", 1).isdecimal()
+        return (0, float(sample)) if numeric else (1, sample)
+
+    people: dict = {}  # person -> {sample key: values}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -68,7 +77,13 @@ def read_dataset_csv(path: str) -> PersonDataset:
             xs = [float(v) for v in fields[2:]]
         except ValueError:
             raise DatasetFormatError(f"line {lineno}: non-numeric sample value") from None
-        people.setdefault(person, []).append((sample, xs))
+        samples = people.setdefault(person, {})
+        key = sample_key(sample)
+        if key in samples:
+            raise DatasetFormatError(
+                f"line {lineno}: person {person!r} repeats sample_id {sample!r}"
+            )
+        samples[key] = xs
     if not people:
         raise DatasetFormatError("line 2: no data rows")
     counts = {len(v) for v in people.values()}
@@ -76,24 +91,17 @@ def read_dataset_csv(path: str) -> PersonDataset:
         raise DatasetFormatError(
             f"line {len(lines)}: people have unequal sample counts {sorted(counts)}"
         )
-
-    def sample_key(item):
-        key = item[0]
-        # numeric iff "-"? then decimal digits with at most one ".", which float() parses
-        numeric = key.removeprefix("-").replace(".", "", 1).isdecimal()
-        return (0, float(key)) if numeric else (1, key)
-
-    tensor = [
-        [xs for _, xs in sorted(rows, key=sample_key)] for rows in people.values()
-    ]
+    tensor = [[samples[key] for key in sorted(samples)] for samples in people.values()]
     return PersonDataset(np.asarray(tensor, dtype=np.float64).reshape(len(people), counts.pop(), d))
 
 
 def _run_estimate(args) -> int:
     cfg = {}
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config) as fh, config_errors("estimate config"):
             cfg = json.load(fh)
+            if not isinstance(cfg, dict):
+                raise ConfigurationError("estimate config must be a JSON object")
     overrides = {
         "estimator": args.estimator,
         "epsilon": args.epsilon,
@@ -111,15 +119,17 @@ def _run_estimate(args) -> int:
     if cfg["estimator"] not in ESTIMATORS:
         raise ConfigurationError(f"unknown estimator {cfg['estimator']!r}")
 
+    with config_errors("estimate config"):
+        params = ProblemParams(
+            k=float(cfg["k"]),
+            alpha=float(cfg["alpha"]),
+            beta=float(cfg.get("beta", 0.1)),
+            range_R=float(cfg.get("range_R", 2.0)),
+        )
+        budget = PrivacyBudget(float(cfg["epsilon"]), float(cfg.get("delta", 0.0) or 0.0))
+        seed = int(cfg["seed"])
     data = read_dataset_csv(args.data)
-    params = ProblemParams(
-        k=float(cfg["k"]),
-        alpha=float(cfg["alpha"]),
-        beta=float(cfg.get("beta", 0.1)),
-        range_R=float(cfg.get("range_R", 2.0)),
-    )
-    budget = PrivacyBudget(float(cfg["epsilon"]), float(cfg.get("delta", 0.0) or 0.0))
-    report = ESTIMATORS[cfg["estimator"]](data, budget, params, int(cfg["seed"]))
+    report = ESTIMATORS[cfg["estimator"]](data, budget, params, seed)
     text = report.to_json()
     if args.out:
         with open(args.out, "w") as fh:

@@ -1,5 +1,5 @@
-"""1-D truncation, L2 ball clipping, and Monte Carlo oracles for the bias
-and variance effects of truncation.
+"""1-D truncation, L2 ball clipping, and the paper's clipping-bias bound
+with a Monte Carlo oracle that checks it.
 
 The bias oracle is Monte Carlo rather than quadrature because the synthetic
 families are samplers, not density evaluators.
@@ -26,7 +26,6 @@ __all__ = [
     "truncation_bias_bound",
     "BiasOracleResult",
     "bias_oracle_1d",
-    "variance_contraction_check",
 ]
 
 
@@ -107,21 +106,3 @@ def bias_oracle_1d(
         analytic_bound=truncation_bias_bound(m, spec.k, gap),
         gap=gap,
     )
-
-
-def variance_contraction_check(
-    spec: SyntheticSpec, ball: ClipBall, trials: int, seed: Seed
-) -> tuple:
-    """(Var(X), Var(Trunc(X))) Monte Carlo estimates on single draws.
-
-    Truncation never increases variance, so the second entry should not
-    exceed the first beyond Monte Carlo noise.
-    """
-    if trials < 100_000:
-        raise ParameterError(f"need trials >= 1e5, got {trials}")
-    if spec.dim != 1:
-        raise ParameterError("variance_contraction_check is univariate")
-    x = sample_batch_means(spec, 1, trials, seed)[:, 0]
-    center = float(ball.center[0])
-    z = trunc_1d(x, center - ball.radius, center + ball.radius)
-    return float(x.var(ddof=1)), float(z.var(ddof=1))

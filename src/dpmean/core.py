@@ -6,7 +6,10 @@ point computes the (n, d) per-person means once and hands row slices and
 column views of them, with m, to its stages.  Budgets are ``PrivacyBudget``s
 and synthetic distributions ``SyntheticSpec``s.  All randomness flows
 through ``derive_rng`` so that any operation is bit-reproducible given
-(inputs, seed).
+(inputs, seed).  A JSON config that does not parse, or holds a field of the
+wrong type, is a ``ConfigurationError`` (see ``config_errors``).  That the
+generators are normalised (k-th moment 1 in every direction) is checked in
+the tests, not here.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +26,7 @@ __all__ = [
     "ConfigurationError",
     "ParameterError",
     "EstimationFailedError",
+    "config_errors",
     "Seed",
     "derive_rng",
     "derive_seed",
@@ -34,8 +39,6 @@ __all__ = [
     "EstimateReport",
     "sample_dataset",
     "sample_batch_means",
-    "check_moment",
-    "direction_grid",
     "gaussian_abs_moment",
     "student_t_abs_moment",
 ]
@@ -51,6 +54,21 @@ class ParameterError(ValueError):
 
 class EstimationFailedError(RuntimeError):
     """An estimator could not produce an output (e.g. all buckets suppressed)."""
+
+
+@contextmanager
+def config_errors(what: str):
+    """Re-raise a JSON parse error, a missing key or a field of the wrong
+    type inside the block as a ConfigurationError naming ``what``.  The
+    errors the config's own validation raises pass through unchanged."""
+    try:
+        yield
+    except (ConfigurationError, ParameterError):
+        raise
+    except KeyError as exc:
+        raise ConfigurationError(f"{what} missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed {what}: {exc}") from exc
 
 
 # A seed is a plain unsigned 64-bit integer.  Sub-streams are derived with
@@ -326,16 +344,14 @@ class SyntheticSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SyntheticSpec":
-        raw = json.loads(text)
-        try:
+        with config_errors("spec JSON"):
+            raw = json.loads(text)
             return cls(
                 family=raw["family"],
                 mean=None if raw.get("mean") is None else tuple(raw["mean"]),
                 k=float(raw.get("k", 4.0)),
                 extra=dict(raw.get("extra", {})),
             )
-        except KeyError as exc:
-            raise ConfigurationError(f"spec JSON missing key {exc}") from exc
 
 
 @dataclass
@@ -418,54 +434,3 @@ def sample_batch_means(
         start = stop
         chunk_index += 1
     return out
-
-
-def direction_grid(d: int) -> np.ndarray:
-    """Fixed deterministic unit directions used to approximate sup over the sphere.
-
-    d=1: the single direction.  d>1: coordinate axes plus 64 quasi-uniform
-    directions (equal angles for d=2, Fibonacci sphere for d=3, seeded
-    normalized Gaussians for d >= 4).
-    """
-    if d < 1:
-        raise ParameterError("d must be >= 1")
-    if d == 1:
-        return np.ones((1, 1))
-    axes = np.eye(d)
-    if d == 2:
-        theta = np.linspace(0.0, np.pi, 64, endpoint=False)
-        extra = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    elif d == 3:
-        i = np.arange(64, dtype=np.float64)
-        golden = (1 + math.sqrt(5)) / 2
-        z = 1 - 2 * (i + 0.5) / 64
-        r = np.sqrt(np.clip(1 - z * z, 0, None))
-        phi = 2 * np.pi * i / golden
-        extra = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    else:
-        g = derive_rng(0x5D1CE5, d).standard_normal((64, d))
-        extra = g / np.linalg.norm(g, axis=1, keepdims=True)
-    return np.concatenate([axes, extra], axis=0)
-
-
-def check_moment(spec: SyntheticSpec, k: float, trials: int, seed: Seed) -> float:
-    """Monte Carlo estimate of sup_v E[|<X - mu, v>|^k]^{1/k} over the direction grid.
-
-    Noisy by construction; callers interpret.  Requires trials >= 1e4.
-    """
-    if trials < 10_000:
-        raise ParameterError(f"need trials >= 1e4, got {trials}")
-    dirs = direction_grid(spec.dim)
-    mu = spec.mean_vector()
-    acc = np.zeros(dirs.shape[0])
-    per_chunk = max(1, (1 << 22) // spec.dim)
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        take = min(per_chunk, trials - done)
-        rng = derive_rng(seed, chunk_index)
-        x = spec.sample(rng, take) - mu
-        acc += np.abs(x @ dirs.T).__pow__(k).sum(axis=0)
-        done += take
-        chunk_index += 1
-    return float(np.max(acc / trials) ** (1.0 / k))

@@ -176,7 +176,7 @@ def _estimate_column(
     coarse = range_estimator(means, m, coarse_budget, r, params.range_R, derive_seed(seed, 0))
 
     rho = choose_rho_1d(means.shape[0], m, eps_stage, params.beta, params.k)
-    cfg = FineConfig(rho=rho, u_err=2 * r)
+    cfg = FineConfig(rho=rho, u_err=coarse.accuracy_claim)
     fine_budget = PrivacyBudget(eps_stage, 0.0)
     report = fine_estimate_1d(means, fine_budget, coarse, cfg, seed=derive_seed(seed, 1))
 

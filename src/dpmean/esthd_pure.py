@@ -40,7 +40,6 @@ from .est1d import _estimate_column
 from .mechanisms import exponential_mechanism
 
 __all__ = [
-    "CoverGrid",
     "ScoreRecord",
     "comparison_rho",
     "mom_subsample_count",
@@ -79,18 +78,6 @@ def mom_subsample_count(beta: float) -> int:
 
 
 @dataclass(frozen=True)
-class CoverGrid:
-    """A finite set of candidate points with its grid granularity and origin."""
-
-    points: np.ndarray  # (N, d)
-    granularity: float
-    origin: np.ndarray  # (d,)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-
-@dataclass(frozen=True)
 class ScoreRecord:
     """Exponential-mechanism score of one candidate: min corruption margin
     over its local cover, clamped to [0, n * alpha]."""
@@ -113,21 +100,21 @@ def _product_grid(axes: list) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def global_cover(alpha: float, d: int) -> CoverGrid:
-    """Per-coordinate grid {-alpha, ..., alpha} with about sqrt(d) + 1 points
-    per axis (exact when sqrt(d) is an integer; otherwise rounded up)."""
+def global_cover(alpha: float, d: int) -> np.ndarray:
+    """Candidate points, shape (N, d): the per-coordinate grid
+    {-alpha, ..., alpha} with about sqrt(d) + 1 points per axis (exact when
+    sqrt(d) is an integer; otherwise rounded up)."""
     if alpha <= 0 or d < 1:
         raise ParameterError("need alpha > 0 and d >= 1")
     intervals = math.ceil(math.sqrt(d))
     axes = [_axis_grid(0.0, alpha, intervals) for _ in range(d)]
-    return CoverGrid(
-        points=_product_grid(axes), granularity=2 * alpha / intervals, origin=np.zeros(d)
-    )
+    return _product_grid(axes)
 
 
-def local_cover(p: np.ndarray, alpha: float, d: int) -> CoverGrid:
-    """Challenger grid around p: per-coordinate step ~ alpha/(4 sqrt(d)) over
-    p +- 2 alpha, minus the L2 ball of radius alpha around p."""
+def local_cover(p: np.ndarray, alpha: float, d: int) -> np.ndarray:
+    """Challenger points around p, shape (N, d): the grid with per-coordinate
+    step ~ alpha/(4 sqrt(d)) over p +- 2 alpha, minus the L2 ball of radius
+    alpha around p."""
     if alpha <= 0 or d < 1:
         raise ParameterError("need alpha > 0 and d >= 1")
     p = np.atleast_1d(np.asarray(p, dtype=np.float64))
@@ -135,7 +122,7 @@ def local_cover(p: np.ndarray, alpha: float, d: int) -> CoverGrid:
     axes = [_axis_grid(p[j], 2 * alpha, intervals) for j in range(d)]
     pts = _product_grid(axes)
     keep = np.linalg.norm(pts - p, axis=1) > alpha
-    return CoverGrid(points=pts[keep], granularity=4 * alpha / intervals, origin=p)
+    return pts[keep]
 
 
 def _flip_costs(block_means: np.ndarray, thresholds: np.ndarray, block: int, rho: float):
@@ -242,9 +229,7 @@ def score_candidate(
     cover = local_cover(p, alpha, d)
     assert len(cover) > 0
     cap = n * alpha
-    block_means, midpoints, block, rho = _project_batch(
-        means, m, p, cover.points, alpha, beta, seed, k
-    )
+    block_means, midpoints, block, rho = _project_batch(means, m, p, cover, alpha, beta, seed, k)
     # margins[j] is the greedy number of whole-batch corruptions that make p
     # lose to challenger j when p currently wins.
     margins, q_wins = _flip_costs(block_means, midpoints, block, rho)
@@ -279,14 +264,14 @@ def fine_est_pure(
     beta_test = params.beta / (2 * len(cover))
 
     def scored():
-        for i, point in enumerate(cover.points):
+        for i, point in enumerate(cover):
             rec = score_candidate(
                 means, m, point, alpha_test, beta_test, derive_seed(seed, 1, i), params.k
             )
             yield i, rec.score
 
     choice = exponential_mechanism(scored(), sensitivity=1.0, epsilon=epsilon, seed=derive_seed(seed, 2))
-    return cover.points[choice].copy()
+    return cover[choice].copy()
 
 
 def estimate_pure_full(

@@ -36,6 +36,7 @@ from .core import (
     ProblemParams,
     Seed,
     SyntheticSpec,
+    config_errors,
     derive_seed,
     sample_dataset,
     stable_hash,
@@ -130,8 +131,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        raw = json.loads(text)
-        try:
+        with config_errors("experiment config"):
+            raw = json.loads(text)
             return cls(
                 estimator=raw["estimator"],
                 spec=SyntheticSpec.from_json(json.dumps(raw["spec"])),
@@ -148,8 +149,6 @@ class ExperimentConfig:
                 beta=float(raw.get("beta", 0.1)),
                 range_R=float(raw.get("range_R", 2.0)),
             )
-        except KeyError as exc:
-            raise ConfigurationError(f"experiment config missing key {exc}") from exc
 
 
 # One row per (grid point, trial); summaries reuse the schema with
@@ -310,7 +309,12 @@ def run_experiment(config: ExperimentConfig, threads: int | None = None) -> str:
 
 @dataclass
 class TailbenchConfig:
-    """Tail-bound verification sweep: families x (m, k, d) x bound names."""
+    """Tail-bound verification sweep: families x (m, k, d) x bound names.
+
+    Every (spec family, bound) pair must have a frozen calibration constant
+    in ``tailbounds.FROZEN_CALIBRATION``; a pair without one has no verdict
+    to give, so the config is rejected.
+    """
 
     specs: list  # SyntheticSpec per family instance
     m: list
@@ -324,13 +328,19 @@ class TailbenchConfig:
         for b in self.bounds:
             if b not in ("heavytail", "berry_esseen", "highd"):
                 raise ConfigurationError(f"unknown bound {b!r}")
+        for spec in self.specs:
+            for b in self.bounds:
+                if (spec.family, b) not in tailbounds.FROZEN_CALIBRATION:
+                    raise ConfigurationError(
+                        f"no frozen calibration constant for ({spec.family!r}, {b!r})"
+                    )
         if self.trials < 100_000:
             raise ConfigurationError("tailbench needs trials >= 1e5")
 
     @classmethod
     def from_json(cls, text: str) -> "TailbenchConfig":
-        raw = json.loads(text)
-        try:
+        with config_errors("tailbench config"):
+            raw = json.loads(text)
             specs = [SyntheticSpec.from_json(json.dumps(s)) for s in raw["specs"]]
             return cls(
                 specs=specs,
@@ -341,8 +351,6 @@ class TailbenchConfig:
                 output_path=raw["output_path"],
                 grid_points_per_window=int(raw.get("grid_points_per_window", 12)),
             )
-        except KeyError as exc:
-            raise ConfigurationError(f"tailbench config missing key {exc}") from exc
 
 
 TAILBENCH_COLUMNS = [
@@ -365,7 +373,7 @@ TAILBENCH_COLUMNS = [
 def run_tailbench(config: TailbenchConfig, threads: int | None = None) -> str:
     """Evaluate empirical tails against calibrated bounds over the sweep.
 
-    One Monte Carlo sample batch per (spec, m, mode) serves the t-grids of
+    One Monte Carlo sample batch per (spec, m) serves the t-grids of
     every bound that applies to it.  Out-of-window t values are flagged in
     the valid_window column, never dropped.  "pass" is 1 when the bound
     dominates the tail (empirical + 3 stderr <= bound), 0 when the tail
@@ -389,14 +397,13 @@ def run_tailbench(config: TailbenchConfig, threads: int | None = None) -> str:
             tailbounds.acceptance_t_grid(b, m, spec.k, d, config.grid_points_per_window)
             for b in bounds
         ]
-        mode = "one_sided" if d == 1 else "norm"
-        run_seed = derive_seed(config.seed, stable_hash([spec.to_json(), m, mode]))
-        tail = tailbounds.mc_tail(
-            spec, m, d, np.concatenate(grids), config.trials, run_seed, mode=mode
-        )
+        # The batch seed is keyed by the name of the statistic mc_tail measures.
+        statistic = "one_sided" if d == 1 else "norm"
+        run_seed = derive_seed(config.seed, stable_hash([spec.to_json(), m, statistic]))
+        tail = tailbounds.mc_tail(spec, m, np.concatenate(grids), config.trials, run_seed)
         start = 0
         for bound_name, grid in zip(bounds, grids):
-            c_cal = tailbounds.FROZEN_CALIBRATION.get((spec.family, bound_name), 1.0)
+            c_cal = tailbounds.FROZEN_CALIBRATION[(spec.family, bound_name)]
             evaluator = tailbounds._BOUNDS[bound_name]
             for point in tail[start : start + len(grid)]:
                 q = tailbounds.TailBoundQuery(m=m, k=spec.k, t=point.t, d=d, constant=c_cal)

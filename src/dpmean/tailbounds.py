@@ -1,6 +1,10 @@
 """Evaluators for the concentration bounds on sums/averages of bounded
-k-th-moment variables, a Monte Carlo tail verifier, the bucket-partition
-diagnostic, and the lemma-level check suite.
+k-th-moment variables, a Monte Carlo tail verifier, and the lemma-level
+check suite.
+
+Every name here feeds a check that runs: tailbench and the acceptance suite
+compare ``mc_tail`` against the bound evaluators, and ``dpmean lemma-checks``
+and the acceptance suite run ``lemma_checks``.
 
 All logs are natural.  The hidden constants of the asymptotic statements are
 handled by a frozen calibration protocol: a pre-registered search over
@@ -30,7 +34,6 @@ __all__ = [
     "bound_heavytail",
     "bound_berry_esseen",
     "bound_highd",
-    "bound_norm_onesample",
     "bound_markov",
     "berry_esseen_threshold",
     "heavytail_window",
@@ -38,8 +41,6 @@ __all__ = [
     "acceptance_t_grid",
     "TailPoint",
     "mc_tail",
-    "BucketPartition",
-    "bucket_diagnostic",
     "LemmaCheckReport",
     "lemma_checks",
     "FROZEN_CALIBRATION",
@@ -84,7 +85,6 @@ class TailBoundQuery:
 class BoundValue:
     value: float
     valid: bool  # whether t lies in the theorem's validity window
-    dominant: str | None = None
 
 
 def berry_esseen_threshold(m: int, k: float) -> float:
@@ -107,9 +107,10 @@ def heavytail_window(m: int, k: float) -> tuple:
     return lower, upper
 
 
-def highd_threshold(m: int, k: float, d: int, c3: float = 1.0) -> float:
-    """High-dimensional validity threshold t1 = c3 sqrt(d ln m / m) (c3 = 1 pinned)."""
-    return c3 * math.sqrt(d * math.log(m) / m)
+def highd_threshold(m: int, k: float, d: int) -> float:
+    """High-dimensional validity threshold t1 = sqrt(d ln m / m) (the theorem's
+    constant pinned to 1)."""
+    return math.sqrt(d * math.log(m) / m)
 
 
 def bound_heavytail(q: TailBoundQuery) -> BoundValue:
@@ -122,11 +123,7 @@ def bound_heavytail(q: TailBoundQuery) -> BoundValue:
     poly = 1.0 / (q.m ** (q.k - 1) * q.t**q.k)
     expo = math.exp(-q.m * q.t**2 / 12.0)
     lo, hi = heavytail_window(q.m, q.k)
-    return BoundValue(
-        value=q.constant * (poly + expo),
-        valid=lo < q.t < hi,
-        dominant="polynomial" if poly >= expo else "exponential",
-    )
+    return BoundValue(value=q.constant * (poly + expo), valid=lo < q.t < hi)
 
 
 def bound_berry_esseen(q: TailBoundQuery) -> BoundValue:
@@ -140,17 +137,8 @@ def bound_highd(q: TailBoundQuery) -> BoundValue:
     poly = q.d ** (q.k / 2) / (q.m ** (q.k - 1) * q.t**q.k)
     expo = math.exp(-q.m * q.t**2 / q.d)
     return BoundValue(
-        value=q.constant * (poly + expo),
-        valid=q.t >= highd_threshold(q.m, q.k, q.d),
-        dominant="polynomial" if poly >= expo else "exponential",
+        value=q.constant * (poly + expo), valid=q.t >= highd_threshold(q.m, q.k, q.d)
     )
-
-
-def bound_norm_onesample(d: int, k: float, t: float) -> float:
-    """One-sample norm tail min(1, d^{k/2} t^{-k})."""
-    if t <= 0:
-        raise ParameterError("t must be > 0")
-    return min(1.0, d ** (k / 2) * t ** (-k))
 
 
 def bound_markov(k: float, t: float) -> float:
@@ -174,7 +162,7 @@ def acceptance_t_grid(bound: str, m: int, k: float, d: int = 1, points: int = 12
     2 thresh_BE)] (the explicit-constant window is empty at desk-scale m, so
     the grid starts at the average-form threshold, where the polynomial term
     is provably a valid bound, and spans up to the Theta(1/log m) shape).
-    highd: [t1, 3 t1] with c3 = 1.
+    highd: [t1, 3 t1].
     """
     if bound == "berry_esseen":
         lo = berry_esseen_threshold(m, k)
@@ -201,39 +189,18 @@ def _wilson_halfwidth(count: int, n: int, z: float = 1.0) -> float:
     return z / (n + z * z) * math.sqrt(count * (n - count) / n + z * z / 4)
 
 
-def mc_tail(
-    spec: SyntheticSpec,
-    m: int,
-    d: int,
-    t_grid,
-    trials: int,
-    seed: Seed,
-    mode: str = "auto",
-) -> list:
+def mc_tail(spec: SyntheticSpec, m: int, t_grid, trials: int, seed: Seed) -> list:
     """Empirical tail probabilities of the m-sample average at each t.
 
-    mode "one_sided" measures P[mean - mu >= t] (the univariate theorems'
-    form), "two_sided" measures P[|mean - mu| >= t], "norm" measures
-    P[||mean - mu||_2 >= t]; "auto" picks one_sided for d = 1 and norm
-    otherwise.  Std errors are Wilson-interval (z = 1) half-widths.
+    A univariate spec measures the one-sided P[mean - mu >= t] (the
+    univariate theorems' form), a multivariate one P[||mean - mu||_2 >= t]
+    (the high-dimensional theorem's).  Std errors are Wilson-interval
+    (z = 1) half-widths.
     """
     if trials < 100_000:
         raise ParameterError(f"need trials >= 1e5, got {trials}")
-    if d != spec.dim:
-        raise ParameterError(f"d = {d} does not match spec dimension {spec.dim}")
-    if mode == "auto":
-        mode = "one_sided" if d == 1 else "norm"
-    if mode not in ("one_sided", "two_sided", "norm"):
-        raise ParameterError(f"unknown mode {mode!r}")
-    if mode != "norm" and d != 1:
-        raise ParameterError("one/two-sided modes are univariate")
     dev = sample_batch_means(spec, m, trials, seed) - spec.mean_vector()
-    if mode == "one_sided":
-        stat = dev[:, 0]
-    elif mode == "two_sided":
-        stat = np.abs(dev[:, 0])
-    else:
-        stat = np.linalg.norm(dev, axis=1)
+    stat = dev[:, 0] if spec.dim == 1 else np.linalg.norm(dev, axis=1)
     out = []
     for t in np.atleast_1d(t_grid):
         count = int((stat >= t).sum())
@@ -245,55 +212,6 @@ def mc_tail(
             )
         )
     return out
-
-
-@dataclass
-class BucketPartition:
-    """Dyadic partition of the moderate range [1/t, m t / (3 ln m)).
-
-    Level ell covers [r2 / 2^ell, r2 / 2^{ell-1}); the claim under test says
-    that when the moderate values sum to at least m t / 3, some level ell
-    holds at least 2^{ell-1} values.
-    """
-
-    r1: float
-    r2: float
-    levels: list = field(default_factory=list)  # (ell, count) pairs
-    s1_count: int = 0
-    s2_count: int = 0
-    s3_count: int = 0
-    s2_sum: float = 0.0
-    claim_applicable: bool = False
-    claim_holds: bool = True
-
-
-def bucket_diagnostic(values, t: float) -> BucketPartition:
-    """Partition ``values`` into light/moderate/heavy and check the dyadic
-    bucket claim: sum over moderates >= m t / 3 implies some |B_ell| >= 2^{ell-1}."""
-    values = np.asarray(values, dtype=np.float64)
-    m = values.size
-    if m < 2:
-        raise ParameterError("need at least 2 values")
-    if not (t > 0):
-        raise ParameterError("t must be > 0")
-    r1 = 1.0 / t
-    r2 = m * t / (3 * math.log(m))
-    part = BucketPartition(r1=r1, r2=r2)
-    part.s1_count = int((values < r1).sum())
-    moderate = values[(values >= r1) & (values < r2)]
-    part.s2_count = moderate.size
-    part.s3_count = int((values >= r2).sum())
-    part.s2_sum = float(moderate.sum())
-    if r2 > r1:
-        n_levels = max(1, math.ceil(math.log2(r2 / r1)))
-        for ell in range(1, n_levels + 1):
-            lo, hi = r2 / 2**ell, r2 / 2 ** (ell - 1)
-            count = int(((values >= lo) & (values < hi)).sum())
-            part.levels.append((ell, count))
-    part.claim_applicable = part.s2_sum >= m * t / 3
-    if part.claim_applicable:
-        part.claim_holds = any(count >= 2 ** (ell - 1) for ell, count in part.levels)
-    return part
 
 
 @dataclass
@@ -321,8 +239,9 @@ def _lemma_families(k: float) -> list:
     ]
 
 
-def lemma_checks(seed: Seed, trials: int = 200_000) -> LemmaCheckReport:
-    """Run the lemma-level verification battery.
+def lemma_checks(seed: Seed) -> LemmaCheckReport:
+    """Run the lemma-level verification battery, at 2e5 draws per Monte
+    Carlo check (the truncated-variance slack is sized for that count).
 
     (a) exact binomials C(m, j) <= (e m / j)^j for all m <= 64;
     (b) Monte Carlo Var(X 1{X < r}) <= 1 for mean-zero unit-k-th-moment
@@ -332,6 +251,7 @@ def lemma_checks(seed: Seed, trials: int = 200_000) -> LemmaCheckReport:
         X <= r) over an (m, t, r) grid.
     """
     report = LemmaCheckReport()
+    trials = 200_000
 
     worst = None
     ok = True

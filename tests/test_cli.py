@@ -47,6 +47,18 @@ class TestReadDataset:
         data = read_dataset_csv(str(path))
         assert (data.n, data.m, data.d) == (2, 2, 2)
 
+    def test_duplicate_sample_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("person_id,sample_id,x1\np0,0,1.0\np0,0,5.0\np1,0,2.0\np1,1,2.0\n")
+        with pytest.raises(DatasetFormatError, match="line 3"):
+            read_dataset_csv(str(path))
+
+    def test_numerically_equal_ids_are_duplicates(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("person_id,sample_id,x1\n0,1,1.0\n0,1.0,2.0\n")
+        with pytest.raises(DatasetFormatError, match="line 3"):
+            read_dataset_csv(str(path))
+
     def test_ids_float_rejects_sort_as_strings(self, tmp_path):
         # "--1" and ".-5" pass a naive digit test but float() rejects them
         path = tmp_path / "ids.csv"
@@ -149,6 +161,16 @@ class TestEstimateInProcess:
         assert captured.out == ""
         assert "pure_dp" in captured.err and "delta" in captured.err
 
+    def test_config_not_json_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text("{not json")
+        rc = main(["estimate", "--data", str(FIXTURES / "est1d_dataset.csv"),
+                   "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "estimate config" in captured.err
+
     def test_missing_required_exit_2(self):
         rc = main(["estimate", "--data", str(FIXTURES / "est1d_dataset.csv")])
         assert rc == 2
@@ -192,6 +214,34 @@ class TestSweepInProcess:
         capsys.readouterr()
         assert rc == 0
         assert (tmp_path / "sweep.csv").exists()
+
+    def test_sweep_config_not_json_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text("{not json")
+        rc = main(["sweep", "--config", str(cfg_path)])
+        assert rc == 2
+        assert "experiment config" in capsys.readouterr().err
+
+    def test_sweep_config_wrong_type_exit_2(self, tmp_path, capsys):
+        cfg = {
+            "estimator": "est1d",
+            "spec": {"family": "scaled_gaussian", "mean": [0.3], "k": 4.0, "extra": {}},
+            "n": 5,
+            "m": [100],
+            "epsilon": [1.0],
+            "delta": [0.0],
+            "alpha": [0.15],
+            "k": [4.0],
+            "trials": 2,
+            "seed": 3,
+            "output_path": str(tmp_path / "sweep.csv"),
+        }
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["sweep", "--config", str(cfg_path)])
+        assert rc == 2
+        assert "experiment config" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_lemma_checks_exit_zero(self, capsys):
         rc = main(["lemma-checks", "--seed", "7"])

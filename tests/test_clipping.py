@@ -11,7 +11,6 @@ from dpmean.clipping import (
     clip_ball,
     trunc_1d,
     truncation_bias_bound,
-    variance_contraction_check,
 )
 from dpmean.core import ClipBall, ParameterError, SyntheticSpec, derive_rng, derive_seed
 from dpmean.esthd_pure import comparison_rho
@@ -172,25 +171,3 @@ class TestBiasOracle:
         with pytest.raises(ParameterError):
             bias_oracle_1d(gaussian(), 4, ClipBall(np.array([0.0]), 1.0), 10, 3)
 
-
-class TestVarianceContraction:
-    def test_huge_radius_equal(self):
-        vx, vz = variance_contraction_check(gaussian(), ClipBall(np.array([0.0]), 100.0), 10**5, 3)
-        assert math.isclose(vx, vz, rel_tol=1e-9)
-
-    def test_zero_radius_zero_variance(self):
-        _, vz = variance_contraction_check(gaussian(), ClipBall(np.array([0.0]), 0.0), 10**5, 3)
-        assert vz == 0.0
-
-    def test_gaussian_strict_contraction(self):
-        spec = gaussian(0.0, 3.0)
-        vx, vz = variance_contraction_check(spec, ClipBall(np.array([0.0]), 1.0), 2 * 10**5, 5)
-        assert vz < vx
-
-    def test_never_expands_beyond_noise(self):
-        for seed, center in [(3, 0.0), (4, 0.5), (5, -1.0)]:
-            vx, vz = variance_contraction_check(
-                gaussian(0.0, 3.0), ClipBall(np.array([center]), 0.8), 10**5, seed
-            )
-            mc_se = 3 * vx * math.sqrt(2 / 10**5)
-            assert vz <= vx + 3 * mc_se

@@ -11,10 +11,8 @@ from dpmean.core import (
     PrivacyBudget,
     ProblemParams,
     SyntheticSpec,
-    check_moment,
     derive_rng,
     derive_seed,
-    direction_grid,
     gaussian_abs_moment,
     sample_batch_means,
     sample_dataset,
@@ -177,6 +175,59 @@ class TestSampling:
         a = sample_batch_means(spec, 4, 1000, 9, chunk=64)
         b = sample_batch_means(spec, 4, 1000, 9, chunk=64)
         np.testing.assert_array_equal(a, b)
+
+
+# Moment-normalisation check of the synthetic generators, and the fixed
+# directions it takes the supremum over.
+def direction_grid(d: int) -> np.ndarray:
+    """Fixed deterministic unit directions used to approximate sup over the sphere.
+
+    d=1: the single direction.  d>1: coordinate axes plus 64 quasi-uniform
+    directions (equal angles for d=2, Fibonacci sphere for d=3, seeded
+    normalized Gaussians for d >= 4).
+    """
+    if d < 1:
+        raise ParameterError("d must be >= 1")
+    if d == 1:
+        return np.ones((1, 1))
+    axes = np.eye(d)
+    if d == 2:
+        theta = np.linspace(0.0, np.pi, 64, endpoint=False)
+        extra = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    elif d == 3:
+        i = np.arange(64, dtype=np.float64)
+        golden = (1 + math.sqrt(5)) / 2
+        z = 1 - 2 * (i + 0.5) / 64
+        r = np.sqrt(np.clip(1 - z * z, 0, None))
+        phi = 2 * np.pi * i / golden
+        extra = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
+    else:
+        g = derive_rng(0x5D1CE5, d).standard_normal((64, d))
+        extra = g / np.linalg.norm(g, axis=1, keepdims=True)
+    return np.concatenate([axes, extra], axis=0)
+
+
+def check_moment(spec: SyntheticSpec, k: float, trials: int, seed: int) -> float:
+    """Monte Carlo estimate of sup_v E[|<X - mu, v>|^k]^{1/k} over the direction grid.
+
+    Noisy by construction; callers interpret.  Requires trials >= 1e4.
+    """
+    if trials < 10_000:
+        raise ParameterError(f"need trials >= 1e4, got {trials}")
+    dirs = direction_grid(spec.dim)
+    mu = spec.mean_vector()
+    acc = np.zeros(dirs.shape[0])
+    per_chunk = max(1, (1 << 22) // spec.dim)
+    done = 0
+    chunk_index = 0
+    while done < trials:
+        take = min(per_chunk, trials - done)
+        rng = derive_rng(seed, chunk_index)
+        x = spec.sample(rng, take) - mu
+        acc += np.abs(x @ dirs.T).__pow__(k).sum(axis=0)
+        done += take
+        chunk_index += 1
+    return float(np.max(acc / trials) ** (1.0 / k))
 
 
 class TestCheckMoment:

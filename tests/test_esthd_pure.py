@@ -85,30 +85,34 @@ class TestConfigHelpers:
 class TestCovers:
     def test_global_cover_d1(self):
         cover = global_cover(0.25, 1)
-        np.testing.assert_allclose(cover.points.ravel(), [-0.25, 0.25])
+        np.testing.assert_allclose(cover.ravel(), [-0.25, 0.25])
 
     def test_global_cover_d2(self):
         cover = global_cover(0.25, 2)
         assert len(cover) == 9  # {-a, 0, a}^2
-        assert np.max(np.abs(cover.points)) <= 0.25
+        assert np.max(np.abs(cover)) <= 0.25
 
     def test_local_cover_d1_counts(self):
         cover = local_cover(np.array([0.0]), 1.0, 1)
         # 17 grid points, the 9 with |x| <= 1 removed
         assert len(cover) == 8
-        assert np.min(np.abs(cover.points)) > 1.0
-        assert np.max(np.abs(cover.points)) <= 2.0
+        assert np.min(np.abs(cover)) > 1.0
+        assert np.max(np.abs(cover)) <= 2.0
 
     def test_local_cover_excludes_ball(self):
         p = np.array([0.1, -0.2])
         cover = local_cover(p, 0.5, 2)
-        dists = np.linalg.norm(cover.points - p, axis=1)
+        dists = np.linalg.norm(cover - p, axis=1)
         assert dists.min() > 0.5
-        assert np.max(np.abs(cover.points - p)) <= 1.0 + 1e-12
+        assert np.max(np.abs(cover - p)) <= 1.0 + 1e-12
 
     def test_local_cover_step(self):
         cover = local_cover(np.array([0.0]), 1.0, 1)
-        assert math.isclose(cover.granularity, 0.25)  # alpha/(4 sqrt d) at d=1
+        steps = np.diff(np.sort(cover[:, 0]))
+        # neighbours sit alpha/(4 sqrt d) = 0.25 apart at d = 1; the one wide
+        # gap is the excluded ball around p
+        np.testing.assert_allclose(np.delete(steps, np.argmax(steps)), 0.25)
+        assert steps.max() > 2.0
 
 
 class TestBinMeanComp:
@@ -218,8 +222,8 @@ class TestProjectBatchLinearity:
         if plant:
             means = self.planted(means, 22, plant, radii)
         far_people = 0
-        for i, p in enumerate(global_cover(0.25, 2).points):
-            challengers = local_cover(p, self.ALPHA, 2).points
+        for i, p in enumerate(global_cover(0.25, 2)):
+            challengers = local_cover(p, self.ALPHA, 2)
             seed = derive_seed(7, i)
             args = (means, self.M, p, challengers, self.ALPHA, self.BETA, seed, self.K)
             block_means, midpoints, block, rho = _project_batch(*args)
@@ -362,7 +366,7 @@ class TestEstimatePureFull:
         mu_coarse = report.params["mu_coarse"]
         cover = global_cover(params.alpha, 1)
         recentered_mu = 0.11 - mu_coarse[0]
-        nearest = cover.points[np.argmin(np.abs(cover.points[:, 0] - recentered_mu))]
+        nearest = cover[np.argmin(np.abs(cover[:, 0] - recentered_mu))]
         assert math.isclose(report.estimate[0], nearest[0] + mu_coarse[0], rel_tol=1e-12)
 
     def test_rejects_delta(self):

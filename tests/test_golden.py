@@ -6,6 +6,9 @@ pinned by ``repr`` (arrays as lists, so no digit is lost).  Two routes are
 checked on the same data: the registry function on the in-memory dataset,
 and ``dpmean estimate`` on the dataset written as CSV.  A change that moves
 any of these values changes an estimator's output and must say why.
+
+The tail lab is pinned the same way: every row of a small ``run_tailbench``
+CSV, byte for byte.
 """
 
 import io
@@ -16,8 +19,8 @@ import numpy as np
 import pytest
 
 from dpmean import cli
-from dpmean.core import PersonDataset, PrivacyBudget, ProblemParams
-from dpmean.harness import ESTIMATORS
+from dpmean.core import PersonDataset, PrivacyBudget, ProblemParams, SyntheticSpec
+from dpmean.harness import ESTIMATORS, TailbenchConfig, run_tailbench
 
 PARAMS = ProblemParams(k=4.0, alpha=0.5, beta=0.1, range_R=2.0)
 EPSILON = 2.0
@@ -127,3 +130,35 @@ def test_registry_and_cli_match_pinned(name, tmp_path):
     released.pop("wall_time_ms")
     expected.pop("wall_time_ms")
     assert released == expected
+
+
+TAILBENCH_PINNED = [
+    "schema_version,family,m,k,d,t,empirical,stderr,bound_name,bound_value,C_cal,valid_window,pass",
+    "1,scaled_gaussian,16,4.0,1,0.7210134433004415,8e-05,2.872141189996546e-05,heavytail,"
+    "0.5009033719535615,1.0,0,1",
+    "1,scaled_gaussian,16,4.0,1,1.442026886600883,0.0,4.999950000499995e-06,heavytail,"
+    "0.06255646074709759,1.0,0,1",
+    "1,scaled_gaussian,16,4.0,1,0.7210134433004415,8e-05,2.872141189996546e-05,berry_esseen,"
+    "0.014453951256983389,16.0,1,1",
+    "1,scaled_gaussian,16,4.0,1,2.1630403299013246,0.0,4.999950000499995e-06,berry_esseen,"
+    "0.00017844384267880724,16.0,1,1",
+    "1,scaled_gaussian,16,4.0,4,0.8325546111576977,0.00068,8.258474189900994e-05,highd,"
+    "0.0706303475820532,1.0,1,1",
+    "1,scaled_gaussian,16,4.0,4,2.497663833473093,0.0,4.999950000499995e-06,highd,"
+    "0.00010037467605874434,1.0,1,1",
+]
+
+
+def test_tailbench_rows_pinned(tmp_path):
+    specs = [SyntheticSpec("scaled_gaussian", mean=(0.0,) * d, k=4.0) for d in (1, 4)]
+    cfg = TailbenchConfig(
+        specs=specs,
+        m=[16],
+        bounds=["heavytail", "berry_esseen", "highd"],
+        trials=10**5,
+        seed=SEED,
+        output_path=str(tmp_path / "tail.csv"),
+        grid_points_per_window=2,
+    )
+    run_tailbench(cfg)
+    assert (tmp_path / "tail.csv").read_text().splitlines() == TAILBENCH_PINNED

@@ -292,3 +292,16 @@ class TestRunTailbench:
             ("scaled_gaussian", "berry_esseen", "1"),
             ("scaled_gaussian", "highd", "2"),
         }
+
+    def test_family_without_frozen_constant_rejected(self, tmp_path):
+        # student_t has no frozen calibration constant, so no verdict can be given
+        spec_t = SyntheticSpec("student_t", mean=(0.0,), k=4.0, extra={"df": 9.0})
+        with pytest.raises(ConfigurationError, match="student_t"):
+            TailbenchConfig(
+                specs=[SPEC1, spec_t],
+                m=[16],
+                bounds=["berry_esseen"],
+                trials=10**5,
+                seed=5,
+                output_path=str(tmp_path / "tb5.csv"),
+            )

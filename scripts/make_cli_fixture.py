@@ -12,22 +12,24 @@ import json
 import pathlib
 import sys
 
-from dpmean.core import SyntheticSpec, sample_dataset
+from dpmean.core import SyntheticSpec, derive_rng
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 DATA_SEED = 424242
+PEOPLE, SAMPLES = 256, 25
 
 
 def main() -> int:
     spec = SyntheticSpec("scaled_gaussian", mean=(0.3,), k=4.0)
-    data = sample_dataset(spec, 256, 25, DATA_SEED)
+    # raw samples, person-major, from the one stream derive_rng(DATA_SEED)
+    values = spec.sample(derive_rng(DATA_SEED), PEOPLE * SAMPLES).reshape(PEOPLE, SAMPLES)
     FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
     csv_path = FIXTURE_DIR / "est1d_dataset.csv"
     with open(csv_path, "w") as fh:
         fh.write("person_id,sample_id,x1\n")
-        for i in range(data.n):
-            for j in range(data.m):
-                fh.write(f"{i},{j},{float(data.values[i, j, 0])!r}\n")
+        for i in range(PEOPLE):
+            for j in range(SAMPLES):
+                fh.write(f"{i},{j},{float(values[i, j])!r}\n")
     config = {
         "estimator": "est1d",
         "epsilon": 1.0,

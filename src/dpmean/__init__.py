@@ -8,12 +8,12 @@ from .core import (
     EstimationFailedError,
     ParameterError,
     PersonDataset,
+    PersonMeans,
     PrivacyBudget,
     ProblemParams,
     SyntheticSpec,
     derive_rng,
     derive_seed,
-    sample_dataset,
 )
 from .est1d import estimate_mean_1d
 from .esthd_approx import clip_and_noise, estimate_single_round, estimate_two_round
@@ -28,12 +28,12 @@ __all__ = [
     "EstimationFailedError",
     "ParameterError",
     "PersonDataset",
+    "PersonMeans",
     "PrivacyBudget",
     "ProblemParams",
     "SyntheticSpec",
     "derive_rng",
     "derive_seed",
-    "sample_dataset",
     "estimate_mean_1d",
     "clip_and_noise",
     "estimate_single_round",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal
 
 import numpy as np
 
@@ -20,11 +21,13 @@ from .core import (
     EstimationFailedError,
     ParameterError,
     PersonDataset,
+    PersonMeans,
     PrivacyBudget,
     ProblemParams,
     SyntheticSpec,
     config_errors,
-    sample_dataset,
+    sample_batch_means,
+    strict_int,
 )
 from .clipping import clip_ball, trunc_1d
 from .harness import ESTIMATORS, ExperimentConfig, TailbenchConfig, run_experiment, run_tailbench
@@ -42,9 +45,9 @@ def read_dataset_csv(path: str) -> PersonDataset:
 
     Header ``person_id,sample_id,x1,...,xd``; every person must carry the
     same number of samples, and no person two samples with equal keys.
-    Samples are ordered by sample_id within person, numerically when the id
-    is a decimal number (so ``1`` and ``1.0`` are the same key); people by
-    first appearance.
+    Samples are ordered by sample_id within person, numerically and exactly
+    when the id is a decimal number (so ``1`` and ``1.0`` are the same key,
+    and no two distinct numbers are); people by first appearance.
     """
     with open(path, newline="") as fh:
         lines = fh.read().splitlines()
@@ -59,9 +62,14 @@ def read_dataset_csv(path: str) -> PersonDataset:
     d = len(header) - 2
 
     def sample_key(sample):
-        # numeric iff "-"? then decimal digits with at most one ".", which float() parses
-        numeric = sample.removeprefix("-").replace(".", "", 1).isdecimal()
-        return (0, float(sample)) if numeric else (1, sample)
+        # numeric iff "-"? then decimal digits with at most one "."; exact
+        # values, and equal numbers hash alike, so 1 and Decimal("1.0") are one key
+        digits = sample.removeprefix("-")
+        if digits.isdecimal():
+            return (0, int(sample))
+        if digits.replace(".", "", 1).isdecimal():
+            return (0, Decimal(sample))
+        return (1, sample)
 
     people: dict = {}  # person -> {sample key: values}
     for lineno, line in enumerate(lines[1:], start=2):
@@ -127,8 +135,8 @@ def _run_estimate(args) -> int:
             range_R=float(cfg.get("range_R", 2.0)),
         )
         budget = PrivacyBudget(float(cfg["epsilon"]), float(cfg.get("delta", 0.0) or 0.0))
-        seed = int(cfg["seed"])
-    data = read_dataset_csv(args.data)
+        seed = strict_int(cfg["seed"])
+    data = read_dataset_csv(args.data).person_means()
     report = ESTIMATORS[cfg["estimator"]](data, budget, params, seed)
     text = report.to_json()
     if args.out:
@@ -191,10 +199,10 @@ def selftest(verbose: bool = True) -> int:
 
     def _sampling():
         spec = SyntheticSpec("scaled_gaussian", mean=(0.0,), k=4.0)
-        a = sample_dataset(spec, 2, 3, 7)
-        b = sample_dataset(spec, 2, 3, 7)
-        assert a.values.shape == (2, 3, 1)
-        assert np.array_equal(a.values, b.values)
+        a = sample_batch_means(spec, 3, 2, 7)
+        b = sample_batch_means(spec, 3, 2, 7)
+        assert a.shape == (2, 1)
+        assert np.array_equal(a, b)
 
     def _histogram():
         spec = HistogramSpec.build(1.0, 1.0)
@@ -211,7 +219,7 @@ def selftest(verbose: bool = True) -> int:
 
     def _est1d_zero_noise():
         spec = SyntheticSpec("scaled_gaussian", mean=(0.4,), k=4.0)
-        data = sample_dataset(spec, 64, 100, 11)
+        data = PersonMeans(sample_batch_means(spec, 100, 64, 11), 100)
         params = ProblemParams(k=4.0, alpha=0.5, beta=0.1, range_R=2.0)
         report = est1d.estimate_mean_1d(data, PrivacyBudget(1e8, 0.0), params, 5)
         assert abs(report.estimate[0] - 0.4) < 0.2

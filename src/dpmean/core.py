@@ -1,9 +1,10 @@
 """Domain types, deterministic randomness, and synthetic heavy-tailed generators.
 
-``PersonDataset`` (n people x m samples x d dims) ingests and validates raw
-samples.  Estimators read a person only through their average: each entry
-point computes the (n, d) per-person means once and hands row slices and
-column views of them, with m, to its stages.  Budgets are ``PrivacyBudget``s
+Estimators read a person only through their average: their one input is a
+``PersonMeans``, the (n, d) per-person means of m samples each, whose row
+slices and column views each entry point hands to its stages.
+``PersonDataset`` (n x m x d raw samples) is for ingest only, and
+``sample_batch_means`` is the one sampler.  Budgets are ``PrivacyBudget``s
 and synthetic distributions ``SyntheticSpec``s.  All randomness flows
 through ``derive_rng`` so that any operation is bit-reproducible given
 (inputs, seed).  A JSON config that does not parse, or holds a field of the
@@ -27,17 +28,18 @@ __all__ = [
     "ParameterError",
     "EstimationFailedError",
     "config_errors",
+    "strict_int",
     "Seed",
     "derive_rng",
     "derive_seed",
     "stable_hash",
     "PersonDataset",
+    "PersonMeans",
     "PrivacyBudget",
     "ProblemParams",
     "ClipBall",
     "SyntheticSpec",
     "EstimateReport",
-    "sample_dataset",
     "sample_batch_means",
     "gaussian_abs_moment",
     "student_t_abs_moment",
@@ -69,6 +71,17 @@ def config_errors(what: str):
         raise ConfigurationError(f"{what} missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed {what}: {exc}") from exc
+
+
+def strict_int(value) -> int:
+    """An integer config field: an int, or a float with an integral value
+    such as 256.0.  Anything else (256.9, true, "256") is a ValueError, which
+    ``config_errors`` reports, instead of being truncated by ``int()``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 # A seed is a plain unsigned 64-bit integer.  Sub-streams are derived with
@@ -128,8 +141,29 @@ def student_t_abs_moment(k: float, df: float) -> float:
 
 
 @dataclass(frozen=True)
+class PersonMeans:
+    """The estimators' input: a read-only float64 (n, d) array of per-person
+    averages of m samples each.  Validated once: 2-D, n, d, m >= 1, finite."""
+
+    means: np.ndarray
+    m: int
+
+    def __post_init__(self):
+        v = np.array(self.means, dtype=np.float64)  # owned, so freezing it is safe
+        if v.ndim != 2 or min(v.shape) < 1 or self.m < 1:
+            raise ParameterError(f"need (n, d) means, n, d, m >= 1; got {v.shape}, m={self.m}")
+        bad = np.flatnonzero(~np.isfinite(v).all(axis=1))
+        if bad.size:
+            raise ParameterError(
+                f"person {bad[0]} has a non-finite mean (finite samples can overflow when averaged)"
+            )
+        v.setflags(write=False)
+        object.__setattr__(self, "means", v)
+
+
+@dataclass(frozen=True)
 class PersonDataset:
-    """n people, each holding m samples in R^d, as one (n, m, d) tensor."""
+    """An ingested file's raw samples: n people x m samples in R^d, one (n, m, d) tensor."""
 
     values: np.ndarray
 
@@ -147,21 +181,11 @@ class PersonDataset:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[2]
-
-    def person_means(self) -> np.ndarray:
+    def person_means(self) -> PersonMeans:
         """Per-person averages S_i = (1/m) sum_j X^{(i)}_j, shape (n, d)."""
-        return self.values.mean(axis=1)
+        with np.errstate(over="ignore"):  # PersonMeans names an overflowed mean
+            means = self.values.mean(axis=1)
+        return PersonMeans(means, self.values.shape[1])
 
 
 @dataclass(frozen=True)
@@ -397,19 +421,6 @@ class EstimateReport:
 # ---------------------------------------------------------------------------
 # Sampling operations
 # ---------------------------------------------------------------------------
-
-def sample_dataset(spec: SyntheticSpec, n: int, m: int, seed: Seed) -> PersonDataset:
-    """Draw an n x m x d dataset of i.i.d. samples from ``spec``.
-
-    Deterministic in (spec, n, m, seed); the whole dataset comes from the
-    single derived stream ``derive_rng(seed)``, filled person-major.
-    """
-    if n < 1 or m < 1:
-        raise ParameterError(f"need n, m >= 1, got n={n}, m={m}")
-    rng = derive_rng(seed)
-    draws = spec.sample(rng, n * m)
-    return PersonDataset(draws.reshape(n, m, spec.dim))
-
 
 def sample_batch_means(
     spec: SyntheticSpec, m: int, trials: int, seed: Seed, chunk: int = 1 << 22

@@ -2,7 +2,7 @@
 estimation followed by truncate-and-noise fine estimation.
 
 The stages read a column of per-person means, shape (n,), each the average
-of m samples; ``estimate_mean_1d`` computes it once from its dataset.
+of m samples; ``estimate_mean_1d`` takes it from its ``PersonMeans``.
 
 Convention used throughout: a coarse run with bucket width r guarantees
 |mu_coarse - mu| < 2r, so a caller wanting coarse accuracy u picks width
@@ -21,7 +21,7 @@ from .core import (
     EstimateReport,
     EstimationFailedError,
     ParameterError,
-    PersonDataset,
+    PersonMeans,
     PrivacyBudget,
     ProblemParams,
     Seed,
@@ -147,7 +147,7 @@ def choose_rho_1d(n: int, m: int, epsilon: float, beta: float, k: float) -> floa
 
 
 def estimate_mean_1d(
-    data: PersonDataset, budget: PrivacyBudget, params: ProblemParams, seed: Seed
+    data: PersonMeans, budget: PrivacyBudget, params: ProblemParams, seed: Seed
 ) -> EstimateReport:
     """Full univariate pipeline: a 50/50 budget split between the coarse range
     estimator and the fine truncate-and-noise step (basic composition).
@@ -157,10 +157,10 @@ def estimate_mean_1d(
     Pure budgets run the pure histogram; delta > 0 switches to the stability
     variant (fine noise stays Laplace, so all of delta is spent coarse).
     """
-    if data.d != 1:
+    if data.means.shape[1] != 1:
         raise ParameterError("estimate_mean_1d is univariate (d = 1)")
     t0 = time.perf_counter()
-    report = _estimate_column(data.person_means()[:, 0], data.m, budget, params, seed)
+    report = _estimate_column(data.means[:, 0], data.m, budget, params, seed)
     report.wall_time_ms = (time.perf_counter() - t0) * 1e3
     return report
 

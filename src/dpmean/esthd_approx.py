@@ -3,7 +3,7 @@ estimation, the clip-and-noise subroutine, and the single- and two-round
 pipelines built from them.
 
 The stages read an (n, d) array of per-person means, each the average of m
-samples; each estimator computes it once from its dataset.
+samples; each estimator takes it from its ``PersonMeans``.
 
 Logs in the radius formulas are natural; "log(1/delta)" is ln(1/delta).
 """
@@ -20,7 +20,7 @@ from .core import (
     EstimateReport,
     EstimationFailedError,
     ParameterError,
-    PersonDataset,
+    PersonMeans,
     PrivacyBudget,
     ProblemParams,
     Seed,
@@ -180,7 +180,7 @@ def _report(estimate, ledger: BudgetLedger, seed: Seed, t0: float, params: dict)
 
 
 def estimate_single_round(
-    data: PersonDataset, budget: PrivacyBudget, params: ProblemParams, seed: Seed
+    data: PersonMeans, budget: PrivacyBudget, params: ProblemParams, seed: Seed
 ) -> EstimateReport:
     """Coarse estimate to 16 sqrt(d/m), then one clip-and-noise round (T = 1).
 
@@ -190,9 +190,10 @@ def estimate_single_round(
     if budget.delta <= 0:
         raise ParameterError("estimate_single_round requires delta > 0")
     t0 = time.perf_counter()
-    means = data.person_means()
+    means = data.means
+    n, d = means.shape
     stage = PrivacyBudget(budget.epsilon / 2, budget.delta / 2)
-    rho = single_round_rho(data.n, data.m, data.d, params.k, stage.epsilon, stage.delta)
+    rho = single_round_rho(n, data.m, d, params.k, stage.epsilon, stage.delta)
     (u1, estimate), ledger = _clip_rounds(
         [means, means], data.m, [stage, stage], [rho], params, seed
     )
@@ -202,7 +203,7 @@ def estimate_single_round(
 
 
 def estimate_two_round(
-    data: PersonDataset, budget: PrivacyBudget, params: ProblemParams, seed: Seed
+    data: PersonMeans, budget: PrivacyBudget, params: ProblemParams, seed: Seed
 ) -> EstimateReport:
     """Two-round clip-and-noise (T = 2): thirds Y/Z/V, coarse on Y, clip rounds on Z and V.
 
@@ -213,11 +214,11 @@ def estimate_two_round(
     if budget.delta <= 0:
         raise ParameterError("estimate_two_round requires delta > 0")
     t0 = time.perf_counter()
-    n = data.n // 3
+    means = data.means
+    n = len(means) // 3
     if n < 1:
         raise ParameterError("need at least 3 people")
-    rho1, rho2 = two_round_radii(n, data.m, data.d, params.k, budget.epsilon, budget.delta)
-    means = data.person_means()
+    rho1, rho2 = two_round_radii(n, data.m, means.shape[1], params.k, budget.epsilon, budget.delta)
     groups = [means[i * n : (i + 1) * n] for i in range(3)]
     half = PrivacyBudget(budget.epsilon / 2, budget.delta / 2)
     quarter = PrivacyBudget(budget.epsilon / 4, budget.delta / 4)
@@ -229,5 +230,5 @@ def estimate_two_round(
         ledger,
         seed,
         t0,
-        {"rho1": rho1, "rho2": rho2, "u1": u1, "u2": u2, "dropped_people": data.n - 3 * n},
+        {"rho1": rho1, "rho2": rho2, "u1": u1, "u2": u2, "dropped_people": len(means) - 3 * n},
     )

@@ -3,7 +3,7 @@ comparisons between candidate means and their local covers, an exact greedy
 corruption-count score, and exponential-mechanism selection.
 
 The stages read an (n, d) array of per-person means, each the average of m
-samples; ``estimate_pure_full`` computes it once from its dataset.
+samples; ``estimate_pure_full`` takes it from its ``PersonMeans``.
 
 A comparison's subsample means are block means of truncated projections.
 Projection is linear, so each candidate block-averages its people once and
@@ -29,7 +29,7 @@ from .core import (
     EstimateReport,
     EstimationFailedError,
     ParameterError,
-    PersonDataset,
+    PersonMeans,
     PrivacyBudget,
     ProblemParams,
     Seed,
@@ -275,14 +275,14 @@ def fine_est_pure(
 
 
 def estimate_pure_full(
-    data: PersonDataset, budget: PrivacyBudget, params: ProblemParams, seed: Seed
+    data: PersonMeans, budget: PrivacyBudget, params: ProblemParams, seed: Seed
 ) -> EstimateReport:
     """Full pure-DP pipeline over 2n people; ``budget`` must be pure (delta = 0).
 
-    The per-person means are computed once.  The first half of them runs the
-    univariate pipeline per coordinate (budget epsilon/d, failure beta/(2d)
-    each) to get mu_coarse with L-inf error alpha; the second half is
-    recentred as means - mu_coarse and handed to fine_est_pure.  The two
+    The first half of the per-person means runs the univariate pipeline per
+    coordinate (budget epsilon/d, failure beta/(2d) each) to get mu_coarse
+    with L-inf error alpha; the second half is recentred as
+    means - mu_coarse and handed to fine_est_pure.  The two
     phases touch disjoint people, so the total budget is epsilon by parallel
     composition.  Raises ParameterError when budget.delta > 0: the estimator
     spends no delta, so a requested delta would be dropped rather than used.
@@ -291,12 +291,11 @@ def estimate_pure_full(
         raise ParameterError(f"pure_dp spends no delta; got delta = {budget.delta!r}, need 0")
     epsilon = budget.epsilon
     t0 = time.perf_counter()
-    half = data.n // 2
+    means = data.means
+    n, d = means.shape
+    half = n // 2
     if half < 1:
         raise ParameterError("need at least 2 people")
-    dropped = data.n - 2 * half
-    d = data.d
-    means = data.person_means()
 
     coord_budget = PrivacyBudget(epsilon / d, 0.0)
     coord_params = ProblemParams(
@@ -325,7 +324,7 @@ def estimate_pure_full(
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
         params={
             "mu_coarse": mu_coarse,
-            "dropped_people": dropped,
+            "dropped_people": n - 2 * half,
             "composition": "parallel over disjoint people",
             "phase_epsilons": [epsilon, epsilon],
         },

@@ -3,8 +3,8 @@ grids, repeated trials, and CSV emission for both estimators and tail-bound
 verification.
 
 ``ESTIMATORS`` is the one registry of estimators, each called as
-``fn(data, budget, params, seed) -> EstimateReport``; the sweep and the CLI
-both dispatch through it.
+``fn(data: PersonMeans, budget, params, seed) -> EstimateReport``; the sweep
+and the CLI both dispatch through it.
 
 Sweeps have one execution path: ``threads`` workers (1 by default, the
 calling thread among them) take trials from one queue and stop taking them
@@ -32,14 +32,16 @@ from . import esthd_approx, esthd_pure, est1d, tailbounds
 from .core import (
     ConfigurationError,
     EstimationFailedError,
+    PersonMeans,
     PrivacyBudget,
     ProblemParams,
     Seed,
     SyntheticSpec,
     config_errors,
     derive_seed,
-    sample_dataset,
+    sample_batch_means,
     stable_hash,
+    strict_int,
 )
 
 __all__ = [
@@ -136,16 +138,16 @@ class ExperimentConfig:
             return cls(
                 estimator=raw["estimator"],
                 spec=SyntheticSpec.from_json(json.dumps(raw["spec"])),
-                n=[int(v) for v in raw["n"]],
-                m=[int(v) for v in raw["m"]],
+                n=[strict_int(v) for v in raw["n"]],
+                m=[strict_int(v) for v in raw["m"]],
                 epsilon=[float(v) for v in raw["epsilon"]],
                 delta=[float(v) for v in raw["delta"]],
                 alpha=[float(v) for v in raw["alpha"]],
                 k=[float(v) for v in raw["k"]],
-                trials=int(raw["trials"]),
-                seed=int(raw["seed"]),
+                trials=strict_int(raw["trials"]),
+                seed=strict_int(raw["seed"]),
                 output_path=raw["output_path"],
-                d=[int(v) for v in raw.get("d", [])],
+                d=[strict_int(v) for v in raw.get("d", [])],
                 beta=float(raw.get("beta", 0.1)),
                 range_R=float(raw.get("range_R", 2.0)),
             )
@@ -204,7 +206,8 @@ def _run_one(config: ExperimentConfig, point: dict, trial: int) -> dict:
     spec = SyntheticSpec(
         family=config.spec.family, mean=config.spec.mean, k=point["k"], extra=config.spec.extra
     )
-    data = sample_dataset(spec, point["n"], point["m"], derive_seed(trial_seed, 0))
+    means = sample_batch_means(spec, point["m"], point["n"], derive_seed(trial_seed, 0))
+    data = PersonMeans(means, point["m"])
     params = ProblemParams(
         k=point["k"], alpha=point["alpha"], beta=config.beta, range_R=config.range_R
     )
@@ -344,12 +347,12 @@ class TailbenchConfig:
             specs = [SyntheticSpec.from_json(json.dumps(s)) for s in raw["specs"]]
             return cls(
                 specs=specs,
-                m=[int(v) for v in raw["m"]],
+                m=[strict_int(v) for v in raw["m"]],
                 bounds=list(raw["bounds"]),
-                trials=int(raw["trials"]),
-                seed=int(raw["seed"]),
+                trials=strict_int(raw["trials"]),
+                seed=strict_int(raw["seed"]),
                 output_path=raw["output_path"],
-                grid_points_per_window=int(raw.get("grid_points_per_window", 12)),
+                grid_points_per_window=strict_int(raw.get("grid_points_per_window", 12)),
             )
 
 

@@ -14,14 +14,13 @@ from dpmean.clipping import clip_ball, trunc_1d
 from dpmean.core import (
     ClipBall,
     EstimationFailedError,
-    PersonDataset,
+    PersonMeans,
     PrivacyBudget,
     ProblemParams,
     SyntheticSpec,
     derive_rng,
     derive_seed,
     sample_batch_means,
-    sample_dataset,
     stable_hash,
 )
 from dpmean.esthd_pure import comparison_rho, score_candidate
@@ -37,6 +36,11 @@ def report(criterion, ok, detail, t0, budget_s):
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'}: {detail} ({elapsed:.1f}s)")
     assert ok, f"{criterion}: {detail}"
     assert elapsed <= budget_s, f"{criterion} exceeded its runtime budget ({elapsed:.0f}s)"
+
+
+def draw(spec, n, m, seed):
+    """n people's means of m samples each, from the one sampler."""
+    return PersonMeans(sample_batch_means(spec, m, n, seed), m)
 
 
 def success_curve(run_trial, n_grid, trials, alpha):
@@ -58,7 +62,7 @@ class TestA1Univariate:
 
         def run_trial(n, trial):
             seed = derive_seed(0xA1, n, trial)
-            data = sample_dataset(spec, n, 100, derive_seed(seed, 0))
+            data = draw(spec, n, 100, derive_seed(seed, 0))
             rep = est1d.estimate_mean_1d(data, budget, params, derive_seed(seed, 1))
             return abs(rep.estimate[0] - 0.3)
 
@@ -89,7 +93,7 @@ class TestA2TwoRound:
 
         def run_trial(n, trial):
             seed = derive_seed(0xA2, n, trial)
-            data = sample_dataset(spec, n, 100, derive_seed(seed, 0))
+            data = draw(spec, n, 100, derive_seed(seed, 0))
             try:
                 rep = esthd_approx.estimate_two_round(data, budget, params, derive_seed(seed, 1))
             except EstimationFailedError:
@@ -127,10 +131,8 @@ class TestA3PureDp:
         params = ProblemParams(k=k, alpha=alpha, beta=beta, range_R=2.0)
         hits = 0
         for trial in range(50):
-            data = sample_dataset(spec, n, m, derive_seed(0xA3, d, trial))
-            est = esthd_pure.fine_est_pure(
-                data.person_means(), data.m, params, 2.0, derive_seed(0xA3F, d, trial)
-            )
+            means = sample_batch_means(spec, m, n, derive_seed(0xA3, d, trial))
+            est = esthd_pure.fine_est_pure(means, m, params, 2.0, derive_seed(0xA3F, d, trial))
             hits += np.linalg.norm(est - mu) <= alpha
         ok = hits / 50 >= 0.85
         report(f"A3(d={d})", ok, f"success={hits}/50 (>=85%) at n={n}", t0, 1200)
@@ -139,16 +141,14 @@ class TestA3PureDp:
         t0 = time.perf_counter()
         n, m, alpha, k = 2048, 64, 0.25, 4.0
         spec = SyntheticSpec("scaled_gaussian", mean=(alpha / 9,), k=k)
-        base = sample_dataset(spec, n, m, 0xA35)
-        base_score = score_candidate(base.person_means(), m, np.zeros(1), alpha, 0.1, 7, k=k).score
+        base = sample_batch_means(spec, m, n, 0xA35)
+        base_score = score_candidate(base, m, np.zeros(1), alpha, 0.1, 7, k=k).score
         rng = derive_rng(0xA36)
         violations = 0
         for _ in range(1000):
-            values = base.values.copy()
-            values[rng.integers(n)] = rng.normal(loc=rng.uniform(-3, 3), size=(m, 1))
-            score = score_candidate(
-                PersonDataset(values).person_means(), m, np.zeros(1), alpha, 0.1, 7, k=k
-            ).score
+            means = base.copy()
+            means[rng.integers(n)] = rng.normal(loc=rng.uniform(-3, 3), size=(m, 1)).mean(axis=0)
+            score = score_candidate(means, m, np.zeros(1), alpha, 0.1, 7, k=k).score
             violations += abs(score - base_score) > 1 + 1e-9
         report("A3(sens)", violations == 0, f"{violations} violations over 1000 pairs", t0, 1200)
 

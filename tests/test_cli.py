@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import pathlib
 import subprocess
@@ -19,7 +20,7 @@ def run_cli(*args):
 class TestReadDataset:
     def test_fixture_parses(self):
         data = read_dataset_csv(str(FIXTURES / "est1d_dataset.csv"))
-        assert (data.n, data.m, data.d) == (256, 25, 1)
+        assert data.values.shape == (256, 25, 1)
 
     def test_missing_column_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -45,7 +46,7 @@ class TestReadDataset:
             "person_id,sample_id,x1,x2\n0,0,1.0,2.0\n0,1,3.0,4.0\n1,0,5.0,6.0\n1,1,7.0,8.0\n"
         )
         data = read_dataset_csv(str(path))
-        assert (data.n, data.m, data.d) == (2, 2, 2)
+        assert data.values.shape == (2, 2, 2)
 
     def test_duplicate_sample_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
@@ -65,6 +66,24 @@ class TestReadDataset:
         path.write_text("person_id,sample_id,x1\n0,.-5,2.0\n0,--1,1.0\n1,.-5,4.0\n1,--1,3.0\n")
         data = read_dataset_csv(str(path))
         assert data.values[:, :, 0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    @pytest.mark.parametrize(
+        "low,high",
+        [
+            # one apart above 2^53, where float() maps both to 2^53
+            ("9007199254740992", "9007199254740993"),
+            # 400 digits, where float() maps both to inf
+            ("1" * 400, "2" * 400),
+            # apart in the 20th decimal place, below float resolution
+            ("0.1", "0.10000000000000000001"),
+        ],
+        ids=["above_2**53", "400_digits", "20th_decimal_place"],
+    )
+    def test_distinct_numeric_ids_never_collide(self, tmp_path, low, high):
+        path = tmp_path / "ids.csv"
+        path.write_text(f"person_id,sample_id,x1\np0,{high},2.0\np0,{low},1.0\n")
+        data = read_dataset_csv(str(path))
+        assert data.values[0, :, 0].tolist() == [1.0, 2.0]
 
     def test_numeric_ids_sort_numerically(self, tmp_path):
         path = tmp_path / "ids.csv"
@@ -171,6 +190,35 @@ class TestEstimateInProcess:
         assert captured.out == ""
         assert "estimate config" in captured.err
 
+    @pytest.mark.parametrize("seed", [3.9, True, "7"])
+    def test_config_non_integer_seed_exit_2(self, tmp_path, capsys, seed):
+        cfg = json.loads((FIXTURES / "est1d_config.json").read_text())
+        cfg["seed"] = seed
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["estimate", "--data", str(FIXTURES / "est1d_dataset.csv"),
+                   "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "malformed estimate config" in captured.err
+
+    def test_overflowing_person_mean_exit_2(self, tmp_path, capsys):
+        # every value is finite, but person p3's average of 4 samples overflows
+        lines = ["person_id,sample_id,x1,x2"]
+        for p in range(30):
+            value = "1.7e308" if p == 3 else "0.25"
+            lines += [f"p{p},{s},{value},{value}" for s in range(4)]
+        path = tmp_path / "overflow.csv"
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["estimate", "--data", str(path), "--estimator", "hd_single",
+                   "--epsilon", "1", "--delta", "1e-6", "--k", "4", "--alpha", "0.5",
+                   "--seed", "7"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "person 3 has a non-finite mean" in captured.err
+
     def test_missing_required_exit_2(self):
         rc = main(["estimate", "--data", str(FIXTURES / "est1d_dataset.csv")])
         assert rc == 2
@@ -252,3 +300,15 @@ class TestSweepInProcess:
 
 def test_selftest_in_process():
     assert selftest(verbose=False) == 0
+
+
+def test_fixture_script_reproduces_fixtures(tmp_path, monkeypatch, capsys):
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "make_cli_fixture.py"
+    spec = importlib.util.spec_from_file_location("make_cli_fixture", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "FIXTURE_DIR", tmp_path)
+    assert script.main() == 0
+    capsys.readouterr()
+    for name in ("est1d_dataset.csv", "est1d_config.json", "est1d_fixture.json"):
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name

@@ -8,6 +8,7 @@ from dpmean.core import (
     ConfigurationError,
     ParameterError,
     PersonDataset,
+    PersonMeans,
     PrivacyBudget,
     ProblemParams,
     SyntheticSpec,
@@ -15,7 +16,6 @@ from dpmean.core import (
     derive_seed,
     gaussian_abs_moment,
     sample_batch_means,
-    sample_dataset,
     student_t_abs_moment,
 )
 
@@ -27,11 +27,13 @@ def gaussian_spec(mean=(0.0,), k=4.0):
 class TestTypes:
     def test_dataset_shape_and_props(self):
         data = PersonDataset(np.zeros((3, 2, 4)))
-        assert (data.n, data.m, data.d) == (3, 2, 4)
+        assert data.values.shape == (3, 2, 4)
+        means = data.person_means()
+        assert (means.means.shape, means.m) == ((3, 4), 2)
 
     def test_dataset_univariate_convenience(self):
         data = PersonDataset(np.ones((5, 2)))
-        assert data.d == 1
+        assert data.values.shape == (5, 2, 1)
 
     def test_dataset_rejects_nan(self):
         bad = np.zeros((2, 2, 1))
@@ -45,7 +47,38 @@ class TestTypes:
 
     def test_person_means(self):
         vals = np.arange(12, dtype=float).reshape(2, 3, 2)
-        np.testing.assert_allclose(PersonDataset(vals).person_means(), vals.mean(axis=1))
+        means = PersonDataset(vals).person_means()
+        assert isinstance(means, PersonMeans) and means.m == 3
+        np.testing.assert_array_equal(means.means, vals.mean(axis=1))
+
+    def test_person_means_validation(self):
+        for shape in [(4,), (0, 2), (3, 0), (2, 2, 1)]:
+            with pytest.raises(ParameterError, match="shape|means"):
+                PersonMeans(np.zeros(shape), 4)
+        with pytest.raises(ParameterError):
+            PersonMeans(np.zeros((3, 2)), 0)
+        for bad in (np.nan, np.inf, -np.inf):
+            means = np.zeros((3, 2))
+            means[1, 0] = bad
+            with pytest.raises(ParameterError, match="person 1 has a non-finite mean"):
+                PersonMeans(means, 4)
+
+    def test_person_means_read_only_copy(self):
+        source = np.zeros((3, 2))
+        means = PersonMeans(source, 4)
+        source[0, 0] = 1.0
+        assert means.means[0, 0] == 0.0
+        assert means.means.dtype == np.float64
+        with pytest.raises(ValueError):
+            means.means[0, 0] = 2.0
+
+    def test_overflowing_person_mean_rejected(self):
+        # every sample is finite, but person 2's average of 64 overflows
+        values = np.zeros((3, 64, 2))
+        values[2] = 1.7e308
+        data = PersonDataset(values)
+        with pytest.raises(ParameterError, match="person 2 has a non-finite mean.*overflow"):
+            data.person_means()
 
     def test_budget_validation(self):
         assert PrivacyBudget(1.0).is_pure
@@ -151,17 +184,19 @@ class TestSyntheticSpec:
 
 
 class TestSampling:
-    def test_sample_dataset_shape_and_determinism(self):
+    def test_batch_means_shape_and_determinism(self):
         spec = gaussian_spec()
-        a = sample_dataset(spec, 2, 3, 7)
-        b = sample_dataset(spec, 2, 3, 7)
-        assert a.values.shape == (2, 3, 1)
-        assert np.isfinite(a.values).all()
-        np.testing.assert_array_equal(a.values, b.values)
+        a = sample_batch_means(spec, 3, 2, 7)
+        b = sample_batch_means(spec, 3, 2, 7)
+        assert a.shape == (2, 1)
+        assert np.isfinite(a).all()
+        np.testing.assert_array_equal(a, b)
 
-    def test_sample_dataset_rejects_bad_counts(self):
+    def test_batch_means_rejects_bad_counts(self):
         with pytest.raises(ParameterError):
-            sample_dataset(gaussian_spec(), 0, 3, 7)
+            sample_batch_means(gaussian_spec(), 3, 0, 7)
+        with pytest.raises(ParameterError):
+            sample_batch_means(gaussian_spec(), 0, 2, 7)
 
     def test_batch_means_match_dataset_means_statistically(self):
         spec = gaussian_spec(k=3.0)

@@ -6,12 +6,12 @@ import pytest
 from dpmean.core import (
     EstimationFailedError,
     ParameterError,
-    PersonDataset,
+    PersonMeans,
     PrivacyBudget,
     ProblemParams,
     SyntheticSpec,
     derive_seed,
-    sample_dataset,
+    sample_batch_means,
 )
 from dpmean.est1d import (
     DEFAULT_RHO_CONSTANT,
@@ -27,13 +27,18 @@ GAUSS = SyntheticSpec("scaled_gaussian", mean=(0.3,), k=4.0)
 PARAMS = ProblemParams(k=4.0, alpha=0.15, beta=0.1, range_R=2.0)
 
 
+def draw(spec, n, m, seed):
+    """n people's means of m samples each, from the one sampler."""
+    return PersonMeans(sample_batch_means(spec, m, n, seed), m)
+
+
 def constant_dataset(value, n, m):
-    return PersonDataset(np.full((n, m, 1), float(value)))
+    return PersonMeans(np.full((n, 1), float(value)), m)
 
 
 def column(data):
     """The per-person means of a univariate dataset, shape (n,)."""
-    return data.person_means()[:, 0]
+    return data.means[:, 0]
 
 
 class TestCoarseResult:
@@ -62,7 +67,7 @@ class TestRangeEstimator:
         # |mu_coarse - 0.3| < 2r in >= 95% of 200 seeded runs
         hits = 0
         for trial in range(200):
-            data = sample_dataset(GAUSS, 500, 100, derive_seed(42, trial))
+            data = draw(GAUSS, 500, 100, derive_seed(42, trial))
             res = range_estimator(
                 column(data), data.m, PrivacyBudget(1.0, 0.0), r=0.4, R=2.0,
                 seed=derive_seed(43, trial),
@@ -75,7 +80,7 @@ class TestRangeEstimator:
         # failure frequency, assert only that the call returns or fails cleanly
         outcomes = []
         for trial in range(20):
-            data = sample_dataset(GAUSS, 200, 100, derive_seed(5, trial))
+            data = draw(GAUSS, 200, 100, derive_seed(5, trial))
             try:
                 res = range_estimator(
                     column(data), data.m, PrivacyBudget(0.001, 0.0), r=0.4, R=2.0,
@@ -94,11 +99,11 @@ class TestRangeEstimator:
 
 class TestFineEstimate:
     def test_no_clip_no_noise_recovers_grand_mean(self):
-        data = sample_dataset(GAUSS, 100, 10, 3)
+        data = draw(GAUSS, 100, 10, 3)
         coarse = CoarseResult(0.5, (0.0, 1.0), 2.0)
         cfg = FineConfig(rho=1e3, u_err=0.0)  # no clipping; noise scale 2e-11
         report = fine_estimate_1d(column(data), PrivacyBudget(1e12, 0.0), coarse, cfg, seed=7)
-        grand = data.values.mean()
+        grand = column(data).mean()
         assert abs(report.estimate[0] - grand) < 1e-9
 
     def test_laplace_tail_frequency(self):
@@ -147,13 +152,13 @@ class TestSensitivityWitness:
         # one person moved from the lower clamp to the upper clamp shifts the
         # pre-noise truncated mean by exactly 2 rho / n
         n, m, rho, center = 32, 4, 0.7, 0.1
-        base = sample_dataset(GAUSS, n, m, 5).values.copy()
+        base = column(draw(GAUSS, n, m, 5))
         low = base.copy()
         low[0] = center - 10 * rho
         high = base.copy()
         high[0] = center + 10 * rho
-        lo_mean = np.clip(low.mean(axis=1)[:, 0], center - rho, center + rho).mean()
-        hi_mean = np.clip(high.mean(axis=1)[:, 0], center - rho, center + rho).mean()
+        lo_mean = np.clip(low, center - rho, center + rho).mean()
+        hi_mean = np.clip(high, center - rho, center + rho).mean()
         assert math.isclose(hi_mean - lo_mean, 2 * rho / n, rel_tol=1e-12)
 
     def test_random_neighbors_never_exceed(self):
@@ -219,8 +224,8 @@ class TestCoarseFractionProperty:
         assert math.sqrt(m) * r >= 16 ** (1 / 4)
         bad_runs = 0
         for trial in range(50):
-            data = sample_dataset(GAUSS, 256, m, derive_seed(3, trial))
-            frac = np.mean(np.abs(data.person_means()[:, 0] - 0.3) > r)
+            data = draw(GAUSS, 256, m, derive_seed(3, trial))
+            frac = np.mean(np.abs(column(data) - 0.3) > r)
             bad_runs += frac > 1 / 16
         assert bad_runs == 0
 
@@ -233,7 +238,7 @@ class TestErrorScaling:
         for n in [2**j for j in range(10, 17)]:
             errs = []
             for trial in range(50):
-                data = sample_dataset(GAUSS, n, 100, derive_seed(1000 + n, trial))
+                data = draw(GAUSS, n, 100, derive_seed(1000 + n, trial))
                 rep = estimate_mean_1d(data, budget, PARAMS, derive_seed(2000 + n, trial))
                 errs.append(abs(rep.estimate[0] - 0.3))
             medians.append(float(np.median(errs)))

@@ -9,12 +9,12 @@ from dpmean.core import (
     ClipBall,
     EstimationFailedError,
     ParameterError,
-    PersonDataset,
+    PersonMeans,
     PrivacyBudget,
     ProblemParams,
     SyntheticSpec,
     derive_seed,
-    sample_dataset,
+    sample_batch_means,
 )
 from dpmean.clipping import clip_ball
 from dpmean.est1d import range_estimator
@@ -32,9 +32,14 @@ PARAMS4 = ProblemParams(k=4.0, alpha=0.4, beta=0.1, range_R=2.0)
 BUDGET = PrivacyBudget(1.0, 1e-6)
 
 
+def draw(spec, n, m, seed):
+    """n people's means of m samples each, from the one sampler."""
+    return PersonMeans(sample_batch_means(spec, m, n, seed), m)
+
+
 def constant_dataset(mu, n, m):
     mu = np.asarray(mu, dtype=float)
-    return PersonDataset(np.broadcast_to(mu, (n, m, mu.size)).copy())
+    return PersonMeans(np.broadcast_to(mu, (n, mu.size)), m)
 
 
 class TestRadii:
@@ -65,10 +70,10 @@ class TestRadii:
 class TestCoarseHd:
     def test_d1_reduces_to_range_estimator(self):
         spec1 = SyntheticSpec("scaled_gaussian", mean=(0.3,), k=4.0)
-        data = sample_dataset(spec1, 512, 100, 3)
-        out = coarse_estimate_hd(data.person_means(), data.m, BUDGET, r=1.6, seed=17, range_R=2.0)
+        data = draw(spec1, 512, 100, 3)
+        out = coarse_estimate_hd(data.means, data.m, BUDGET, r=1.6, seed=17, range_R=2.0)
         direct = range_estimator(
-            data.person_means()[:, 0], data.m, BUDGET, r=0.8, R=2.0, seed=derive_seed(17, 0)
+            data.means[:, 0], data.m, BUDGET, r=0.8, R=2.0, seed=derive_seed(17, 0)
         )
         assert out.shape == (1,)
         assert out[0] == direct.mu_coarse
@@ -76,7 +81,7 @@ class TestCoarseHd:
     def test_noiseless_midpoints(self):
         data = constant_dataset([0.4, -0.4], 4096, 100)
         out = coarse_estimate_hd(
-            data.person_means(), data.m, PrivacyBudget(1e9, 1e-6), r=16 * math.sqrt(2 / 100),
+            data.means, data.m, PrivacyBudget(1e9, 1e-6), r=16 * math.sqrt(2 / 100),
             seed=3, range_R=2.0,
         )
         width = 16 * math.sqrt(2 / 100) / math.sqrt(2) / 2
@@ -88,7 +93,7 @@ class TestCoarseHd:
         data = constant_dataset([0.0], 64, 16)
         with pytest.raises(ParameterError):
             coarse_estimate_hd(
-                data.person_means(), data.m, PrivacyBudget(1.0, 0.0), r=1.6, seed=3, range_R=2.0
+                data.means, data.m, PrivacyBudget(1.0, 0.0), r=1.6, seed=3, range_R=2.0
             )
 
     def test_d3_accuracy_monte_carlo(self):
@@ -96,9 +101,9 @@ class TestCoarseHd:
         r = 16 * math.sqrt(3 / 100)
         hits = 0
         for trial in range(100):
-            data = sample_dataset(spec3, 3000, 100, derive_seed(7, trial))
+            data = draw(spec3, 3000, 100, derive_seed(7, trial))
             out = coarse_estimate_hd(
-                data.person_means(), data.m, BUDGET, r=r, seed=derive_seed(8, trial), range_R=2.0
+                data.means, data.m, BUDGET, r=r, seed=derive_seed(8, trial), range_R=2.0
             )
             hits += np.linalg.norm(out - spec3.mean_vector()) < r
         assert hits >= 90
@@ -109,7 +114,7 @@ class TestCoarseHd:
         data = constant_dataset([0.4, 100.0], 4096, 100)
         with pytest.raises(EstimationFailedError) as info:
             coarse_estimate_hd(
-                data.person_means(), data.m, PrivacyBudget(1e9, 1e-6), r=1.6, seed=3, range_R=2.0
+                data.means, data.m, PrivacyBudget(1e9, 1e-6), r=1.6, seed=3, range_R=2.0
             )
         assert str(info.value) == (
             "coarse stage, coordinate 1: all histogram buckets were suppressed"
@@ -119,23 +124,23 @@ class TestCoarseHd:
 
 class TestClipAndNoise:
     def test_zero_radius_returns_center(self):
-        data = sample_dataset(SPEC4, 32, 8, 3)
+        data = draw(SPEC4, 32, 8, 3)
         ball = ClipBall(np.array([1.0, 2.0, 3.0, 4.0]), 0.0)
-        out = clip_and_noise(data.person_means(), BUDGET, ball, seed=5)
+        out = clip_and_noise(data.means, BUDGET, ball, seed=5)
         np.testing.assert_array_equal(out, ball.center)
 
     def test_huge_budget_recovers_grand_mean(self):
-        data = sample_dataset(SPEC4, 64, 8, 3)
+        data = draw(SPEC4, 64, 8, 3)
         ball = ClipBall(np.zeros(4), 10.0)  # contains every person mean
-        out = clip_and_noise(data.person_means(), PrivacyBudget(1e12, 1e-6), ball, seed=5)
-        np.testing.assert_allclose(out, data.person_means().mean(axis=0), atol=1e-9)
+        out = clip_and_noise(data.means, PrivacyBudget(1e12, 1e-6), ball, seed=5)
+        np.testing.assert_allclose(out, data.means.mean(axis=0), atol=1e-9)
 
     def test_noise_scale_matches_printed_calibration(self):
         # stddev = 2 sqrt(d) rho sqrt(2 ln(4/delta)) / (n eps) per coordinate
         n, d, rho = 100, 4, 0.5
         data = constant_dataset(np.zeros(d), n, 4)
         ball = ClipBall(np.zeros(d), rho)
-        means = data.person_means()
+        means = data.means
         draws = np.array(
             [clip_and_noise(means, BUDGET, ball, seed=derive_seed(3, r)) for r in range(4000)]
         )
@@ -146,27 +151,27 @@ class TestClipAndNoise:
         # antipodal clipped points: pre-noise shift exactly 2 rho / n in L2
         n, m, d, rho = 64, 4, 3, 0.8
         ball = ClipBall(np.zeros(d), rho)
-        base = sample_dataset(
-            SyntheticSpec("scaled_gaussian", mean=(0.0, 0.0, 0.0), k=4.0), n, m, 3
-        ).values.copy()
+        base = sample_batch_means(
+            SyntheticSpec("scaled_gaussian", mean=(0.0, 0.0, 0.0), k=4.0), m, n, 3
+        )
         direction = np.array([1.0, 0.0, 0.0])
         lo, hi = base.copy(), base.copy()
         lo[0] = -10 * rho * direction
         hi[0] = 10 * rho * direction
-        lo_avg = clip_ball(PersonDataset(lo).person_means(), ball).mean(axis=0)
-        hi_avg = clip_ball(PersonDataset(hi).person_means(), ball).mean(axis=0)
+        lo_avg = clip_ball(lo, ball).mean(axis=0)
+        hi_avg = clip_ball(hi, ball).mean(axis=0)
         assert math.isclose(np.linalg.norm(hi_avg - lo_avg), 2 * rho / n, rel_tol=1e-12)
 
     def test_sensitivity_never_exceeded_random_neighbors(self):
         n, m, d, rho = 32, 4, 3, 0.8
         ball = ClipBall(np.zeros(d), rho)
         rng = np.random.default_rng(5)
-        base = rng.normal(size=(n, m, d))
-        base_avg = clip_ball(PersonDataset(base).person_means(), ball).mean(axis=0)
+        base = rng.normal(size=(n, m, d)).mean(axis=1)
+        base_avg = clip_ball(base, ball).mean(axis=0)
         for _ in range(10**4):
             neighbor = base.copy()
-            neighbor[rng.integers(n)] = rng.normal(scale=4, size=(m, d))
-            avg = clip_ball(PersonDataset(neighbor).person_means(), ball).mean(axis=0)
+            neighbor[rng.integers(n)] = rng.normal(scale=4, size=(m, d)).mean(axis=0)
+            avg = clip_ball(neighbor, ball).mean(axis=0)
             assert np.linalg.norm(avg - base_avg) <= 2 * rho / n + 1e-12
 
 
@@ -184,7 +189,7 @@ class TestSingleRound:
         params = ProblemParams(k=4.0, alpha=0.15, beta=0.1, range_R=2.0)
         hits_hd = hits_1d = 0
         for trial in range(20):
-            data = sample_dataset(spec1, 4096, 100, derive_seed(21, trial))
+            data = draw(spec1, 4096, 100, derive_seed(21, trial))
             hd = estimate_single_round(data, BUDGET, params, derive_seed(22, trial))
             e1 = estimate_mean_1d(data, PrivacyBudget(1.0, 0.0), params, derive_seed(23, trial))
             hits_hd += abs(hd.estimate[0] - 0.3) <= 0.15
@@ -192,7 +197,7 @@ class TestSingleRound:
         assert hits_hd >= 18 and hits_1d >= 18
 
     def test_report_fields(self):
-        data = sample_dataset(SPEC4, 1024, 100, 3)
+        data = draw(SPEC4, 1024, 100, 3)
         report = estimate_single_round(data, BUDGET, PARAMS4, 11)
         assert "rho" in report.params and "u1" in report.params
         assert report.epsilon == 1.0 and report.delta == 1e-6
@@ -200,7 +205,7 @@ class TestSingleRound:
 
 class TestTwoRound:
     def test_rho_order_and_ledger_exact(self):
-        data = sample_dataset(SPEC4, 3072, 100, 3)
+        data = draw(SPEC4, 3072, 100, 3)
         report = estimate_two_round(data, BUDGET, PARAMS4, 11)
         assert report.params["rho1"] >= report.params["rho2"]
         assert (report.epsilon, report.delta) == (1.0, 1e-6)
@@ -212,12 +217,12 @@ class TestTwoRound:
         np.testing.assert_allclose(report.estimate, [0.3, -0.2, 0.1, 0.0], atol=1e-3)
 
     def test_drops_remainder_people(self):
-        data = sample_dataset(SPEC4, 3074, 100, 3)
+        data = draw(SPEC4, 3074, 100, 3)
         report = estimate_two_round(data, BUDGET, PARAMS4, 11)
         assert report.params["dropped_people"] == 2
 
     def test_deterministic(self):
-        data = sample_dataset(SPEC4, 3072, 100, 3)
+        data = draw(SPEC4, 3072, 100, 3)
         a = estimate_two_round(data, BUDGET, PARAMS4, 11)
         b = estimate_two_round(data, BUDGET, PARAMS4, 11)
         np.testing.assert_array_equal(a.estimate, b.estimate)

@@ -8,13 +8,13 @@ from dpmean.core import (
     ConfigurationError,
     EstimationFailedError,
     ParameterError,
-    PersonDataset,
+    PersonMeans,
     PrivacyBudget,
     ProblemParams,
     SyntheticSpec,
     derive_rng,
     derive_seed,
-    sample_dataset,
+    sample_batch_means,
 )
 from dpmean.esthd_pure import (
     _flip_costs,
@@ -31,6 +31,11 @@ from dpmean.esthd_pure import (
 
 def gauss(mean, k=4.0):
     return SyntheticSpec("scaled_gaussian", mean=tuple(np.atleast_1d(mean)), k=k)
+
+
+def draw(spec, n, m, seed):
+    """n people's means of m samples each, from the one sampler."""
+    return PersonMeans(sample_batch_means(spec, m, n, seed), m)
 
 
 def compare(means, m, p, q, alpha, beta, seed, k):
@@ -119,17 +124,17 @@ class TestBinMeanComp:
     """The one-challenger comparison through _project_batch and _flip_costs."""
 
     def test_mean_at_p_wins(self):
-        data = sample_dataset(gauss([0.0, 0.0]), 4096, 64, 3)
+        data = draw(gauss([0.0, 0.0]), 4096, 64, 3)
         margin, q_wins = compare(
-            data.person_means(), data.m, np.zeros(2), np.array([2.0, 0.0]), 0.25, 0.1, 7, k=4.0
+            data.means, data.m, np.zeros(2), np.array([2.0, 0.0]), 0.25, 0.1, 7, k=4.0
         )
         assert not q_wins
         assert margin > 0
 
     def test_mean_at_q_loses(self):
-        data = sample_dataset(gauss([2.0, 0.0]), 4096, 64, 3)
+        data = draw(gauss([2.0, 0.0]), 4096, 64, 3)
         _, q_wins = compare(
-            data.person_means(), data.m, np.zeros(2), np.array([2.0, 0.0]), 0.25, 0.1, 7, k=4.0
+            data.means, data.m, np.zeros(2), np.array([2.0, 0.0]), 0.25, 0.1, 7, k=4.0
         )
         assert q_wins
 
@@ -137,30 +142,30 @@ class TestBinMeanComp:
         # p, q symmetric about the data mean: whichever of the two wins with
         # the other as challenger, its margin is < 0.1 * n * alpha / rho
         n, alpha = 4096, 0.25
-        data = sample_dataset(gauss([0.5, 0.0]), n, 64, 3)
+        data = draw(gauss([0.5, 0.0]), n, 64, 3)
         rho = comparison_rho(64, 4.0, alpha)
         p, q = np.array([0.0, 0.0]), np.array([1.0, 0.0])
         winner_margins = []
         for a, b in ((p, q), (q, p)):
-            margin, b_wins = compare(data.person_means(), data.m, a, b, alpha, 0.1, 7, k=4.0)
+            margin, b_wins = compare(data.means, data.m, a, b, alpha, 0.1, 7, k=4.0)
             if not b_wins:
                 winner_margins.append(margin)
         assert winner_margins
         assert all(margin < 0.1 * n * alpha / rho for margin in winner_margins)
 
     def test_identical_points_rejected(self):
-        data = sample_dataset(gauss([0.0]), 256, 8, 3)
+        data = draw(gauss([0.0]), 256, 8, 3)
         with pytest.raises(ParameterError):
-            compare(data.person_means(), data.m, np.zeros(1), np.zeros(1), 0.25, 0.1, 7, k=4.0)
+            compare(data.means, data.m, np.zeros(1), np.zeros(1), 0.25, 0.1, 7, k=4.0)
 
     def test_too_few_people_rejected(self):
-        data = sample_dataset(gauss([0.0]), 10, 8, 3)
+        data = draw(gauss([0.0]), 10, 8, 3)
         with pytest.raises(ConfigurationError):
-            compare(data.person_means(), data.m, np.zeros(1), np.ones(1), 0.25, 0.1, 7, k=4.0)
+            compare(data.means, data.m, np.zeros(1), np.ones(1), 0.25, 0.1, 7, k=4.0)
 
     def test_deterministic(self):
-        data = sample_dataset(gauss([0.0, 0.0]), 1024, 16, 3)
-        means = data.person_means()
+        data = draw(gauss([0.0, 0.0]), 1024, 16, 3)
+        means = data.means
         a = compare(means, data.m, np.zeros(2), np.array([1.0, 0.0]), 0.25, 0.1, 7, k=4.0)
         b = compare(means, data.m, np.zeros(2), np.array([1.0, 0.0]), 0.25, 0.1, 7, k=4.0)
         assert a == b
@@ -175,9 +180,9 @@ class TestBinMeanComp:
         q = np.array([1.5 * alpha, 0.0])
         hits = 0
         for trial in range(100):
-            data = sample_dataset(gauss(mu), n, m, derive_seed(1234, trial))
+            data = draw(gauss(mu), n, m, derive_seed(1234, trial))
             margin, q_wins = compare(
-                data.person_means(), data.m, np.zeros(2), q, alpha, 0.1, derive_seed(99, trial), k=k
+                data.means, data.m, np.zeros(2), q, alpha, 0.1, derive_seed(99, trial), k=k
             )
             hits += not q_wins and margin >= floor
         assert hits >= 95
@@ -218,7 +223,7 @@ class TestProjectBatchLinearity:
         ],
     )
     def test_matches_clip_then_block_mean(self, spec, n, plant, radii):
-        means = sample_dataset(spec, n, self.M, 21).person_means()
+        means = sample_batch_means(spec, self.M, n, 21)
         if plant:
             means = self.planted(means, 22, plant, radii)
         far_people = 0
@@ -245,37 +250,34 @@ class TestProjectBatchLinearity:
 class TestScoreCandidate:
     def test_score_positive_at_truth(self):
         mu = np.array([0.25 / 9])
-        data = sample_dataset(gauss(mu), 2**13, 64, 3)
-        rec = score_candidate(data.person_means(), data.m, np.zeros(1), 0.25, 0.01, 7, k=4.0)
+        data = draw(gauss(mu), 2**13, 64, 3)
+        rec = score_candidate(data.means, data.m, np.zeros(1), 0.25, 0.01, 7, k=4.0)
         assert rec.score > 0
 
     def test_score_zero_far_from_truth(self):
         # ||p - mu|| > 9 alpha / 8 => score 0 whp
         alpha = 0.25
-        data = sample_dataset(gauss([1.5 * alpha]), 2**13, 64, 3)
-        rec = score_candidate(data.person_means(), data.m, np.zeros(1), alpha, 0.01, 7, k=4.0)
+        data = draw(gauss([1.5 * alpha]), 2**13, 64, 3)
+        rec = score_candidate(data.means, data.m, np.zeros(1), alpha, 0.01, 7, k=4.0)
         assert rec.score == 0.0
 
     def test_score_capped(self):
-        data = PersonDataset(np.zeros((512, 16, 1)))  # all mass at the candidate
-        rec = score_candidate(data.person_means(), data.m, np.zeros(1), 0.25, 0.1, 7, k=4.0)
+        data = PersonMeans(np.zeros((512, 1)), 16)  # all mass at the candidate
+        rec = score_candidate(data.means, data.m, np.zeros(1), 0.25, 0.1, 7, k=4.0)
         assert rec.score <= rec.cap == 512 * 0.25
 
     def test_sensitivity_one_batch(self):
         # |score(X) - score(X')| <= 1 over 1000 random one-person replacements
         n, m, alpha, k = 2048, 16, 0.25, 4.0
-        base = sample_dataset(gauss([alpha / 9]), n, m, 3)
-        base_score = score_candidate(base.person_means(), m, np.zeros(1), alpha, 0.1, 7, k=k).score
+        base = draw(gauss([alpha / 9]), n, m, 3)
+        base_score = score_candidate(base.means, m, np.zeros(1), alpha, 0.1, 7, k=k).score
         rng = np.random.default_rng(5)
         violations = 0
         for _ in range(1000):
-            values = base.values.copy()
+            neighbor = base.means.copy()
             person = rng.integers(n)
-            values[person] = rng.normal(loc=rng.uniform(-3, 3), size=(m, 1))
-            neighbor = PersonDataset(values)
-            score = score_candidate(
-                neighbor.person_means(), m, np.zeros(1), alpha, 0.1, 7, k=k
-            ).score
+            neighbor[person] = rng.normal(loc=rng.uniform(-3, 3), size=(m, 1)).mean(axis=0)
+            score = score_candidate(neighbor, m, np.zeros(1), alpha, 0.1, 7, k=k).score
             if abs(score - base_score) > 1 + 1e-9:
                 violations += 1
         assert violations == 0
@@ -283,18 +285,16 @@ class TestScoreCandidate:
     def test_monotone_under_corruption(self):
         # moving people toward an adversarial far value never raises the score
         n, m, alpha, k = 2048, 16, 0.25, 4.0
-        base = sample_dataset(gauss([alpha / 9]), n, m, 3)
+        base = draw(gauss([alpha / 9]), n, m, 3)
         scores = []
-        values = base.values.copy()
+        means = base.means.copy()
         rng = np.random.default_rng(11)
         order = rng.permutation(n)
         for batch in range(0, 200, 40):
             for person in order[batch : batch + 40]:
-                values[person] = 5.0
+                means[person] = 5.0
             scores.append(
-                score_candidate(
-                    PersonDataset(values).person_means(), m, np.zeros(1), alpha, 0.1, 7, k=k
-                ).score
+                score_candidate(means, m, np.zeros(1), alpha, 0.1, 7, k=k).score
             )
         assert all(b <= a + 1e-9 for a, b in zip(scores, scores[1:]))
 
@@ -322,25 +322,25 @@ class TestFineEstPure:
         # degenerate data (all people identical at a cover point) gives the
         # same score landscape under every seed; across seeds the argmax
         # must still be deterministic per seed
-        data = PersonDataset(np.zeros((512, 16, 1)))
+        data = PersonMeans(np.zeros((512, 1)), 16)
         params = ProblemParams(k=4.0, alpha=0.25, beta=0.1, range_R=2.0)
-        a = fine_est_pure(data.person_means(), data.m, params, 2.0, 3)
-        b = fine_est_pure(data.person_means(), data.m, params, 2.0, 3)
+        a = fine_est_pure(data.means, data.m, params, 2.0, 3)
+        b = fine_est_pure(data.means, data.m, params, 2.0, 3)
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_high_dimension(self):
-        data = PersonDataset(np.zeros((32, 4, 5)))
+        data = PersonMeans(np.zeros((32, 5)), 4)
         params = ProblemParams(k=4.0, alpha=0.25, beta=0.1, range_R=2.0)
         with pytest.raises(ConfigurationError, match="cover"):
-            fine_est_pure(data.person_means(), data.m, params, 2.0, 3)
+            fine_est_pure(data.means, data.m, params, 2.0, 3)
 
     def test_d1_recovers_near_cover_point(self):
         params = ProblemParams(k=4.0, alpha=0.25, beta=0.1, range_R=2.0)
         mu = np.array([-0.25 + 0.25 / 9])
         hits = 0
         for trial in range(10):
-            data = sample_dataset(gauss(mu), 2**13, 64, derive_seed(200, trial))
-            est = fine_est_pure(data.person_means(), data.m, params, 2.0, derive_seed(201, trial))
+            data = draw(gauss(mu), 2**13, 64, derive_seed(200, trial))
+            est = fine_est_pure(data.means, data.m, params, 2.0, derive_seed(201, trial))
             hits += np.linalg.norm(est - mu) <= 0.25
         assert hits >= 9
 
@@ -348,7 +348,7 @@ class TestFineEstPure:
 class TestEstimatePureFull:
     def test_zero_variance_recovery_and_accounting(self):
         mu = np.array([0.11])
-        data = PersonDataset(np.full((2048, 64, 1), 0.11))
+        data = PersonMeans(np.full((2048, 1), 0.11), 64)
         params = ProblemParams(k=4.0, alpha=0.25, beta=0.1, range_R=2.0)
         report = estimate_pure_full(data, PrivacyBudget(2.0), params, 5)
         # coarse phase localizes mu, fine phase picks the nearest cover point
@@ -360,7 +360,7 @@ class TestEstimatePureFull:
 
     def test_winning_point_is_nearest_grid_point(self):
         mu = np.array([0.11])
-        data = PersonDataset(np.full((2048, 64, 1), 0.11))
+        data = PersonMeans(np.full((2048, 1), 0.11), 64)
         params = ProblemParams(k=4.0, alpha=0.25, beta=0.1, range_R=2.0)
         report = estimate_pure_full(data, PrivacyBudget(2.0), params, 5)
         mu_coarse = report.params["mu_coarse"]
@@ -371,7 +371,7 @@ class TestEstimatePureFull:
 
     def test_rejects_delta(self):
         # the estimator spends no delta, so a requested one must not be dropped silently
-        data = PersonDataset(np.full((64, 64, 1), 0.11))
+        data = PersonMeans(np.full((64, 1), 0.11), 64)
         params = ProblemParams(k=4.0, alpha=0.25, beta=0.1, range_R=2.0)
         with pytest.raises(ParameterError, match="delta"):
             estimate_pure_full(data, PrivacyBudget(2.0, 1e-6), params, 5)
@@ -389,7 +389,7 @@ class TestEstimatePureFull:
             return range_estimator(*args, **kwargs)
 
         monkeypatch.setattr(est1d, "range_estimator", failing_second)
-        data = PersonDataset(np.full((2048, 64, 2), 0.11))
+        data = PersonMeans(np.full((2048, 2), 0.11), 64)
         params = ProblemParams(k=4.0, alpha=0.25, beta=0.1, range_R=2.0)
         with pytest.raises(EstimationFailedError) as info:
             estimate_pure_full(data, PrivacyBudget(2.0), params, 5)

@@ -3,8 +3,9 @@ and a fixed seed.
 
 Each estimator's estimate and every report field but ``wall_time_ms`` are
 pinned by ``repr`` (arrays as lists, so no digit is lost).  Two routes are
-checked on the same data: the registry function on the in-memory dataset,
-and ``dpmean estimate`` on the dataset written as CSV.  A change that moves
+checked on the same data: the registry function on the in-memory
+dataset's per-person means, and ``dpmean estimate`` on the dataset written
+as CSV.  A change that moves
 any of these values changes an estimator's output and must say why.
 
 The tail lab is pinned the same way: every row of a small ``run_tailbench``
@@ -107,7 +108,7 @@ def test_registry_covers_pinned_estimators():
 def test_registry_and_cli_match_pinned(name, tmp_path):
     d, delta = CASES[name]
     data = dataset(d)
-    report = ESTIMATORS[name](data, PrivacyBudget(EPSILON, delta), PARAMS, SEED)
+    report = ESTIMATORS[name](data.person_means(), PrivacyBudget(EPSILON, delta), PARAMS, SEED)
     assert fields(report) == PINNED[name]
 
     path = tmp_path / "data.csv"

@@ -13,7 +13,6 @@ from dpmean.core import (
     PrivacyBudget,
     ProblemParams,
     SyntheticSpec,
-    sample_dataset,
 )
 from dpmean.harness import (
     CSV_SCHEMA_VERSION,
@@ -61,22 +60,43 @@ REGISTRY_CASES = {
 
 class TestRegistry:
     @pytest.mark.parametrize("name", sorted(harness.ESTIMATORS))
-    def test_means_computed_once_and_no_dataset_copies(self, name, monkeypatch):
-        # every stage reads row slices and column views of one means array
+    def test_means_computed_once_and_no_dataset_copies(self, name, tmp_path, monkeypatch):
+        # a sweep trial draws its per-person means once, in bounded chunks,
+        # and never builds the (n, m, d) sample tensor
         d, delta = REGISTRY_CASES[name]
         spec = SyntheticSpec("scaled_gaussian", mean=(0.3,) * d, k=4.0)
-        data = sample_dataset(spec, 900, 25, 3)
-        calls = {"person_means": 0, "__post_init__": 0}
-        for attr in calls:
+        calls = {"sample_batch_means": 0, "PersonDataset": 0}
 
-            def counted(self, _original=getattr(PersonDataset, attr), _attr=attr):
-                calls[_attr] += 1
-                return _original(self)
+        def counted_sample(*args, _original=harness.sample_batch_means, **kwargs):
+            calls["sample_batch_means"] += 1
+            return _original(*args, **kwargs)
 
-            monkeypatch.setattr(PersonDataset, attr, counted)
+        def counted_dataset(self, _original=PersonDataset.__post_init__):
+            calls["PersonDataset"] += 1
+            return _original(self)
+
+        monkeypatch.setattr(harness, "sample_batch_means", counted_sample)
+        monkeypatch.setattr(PersonDataset, "__post_init__", counted_dataset)
+        cfg = one_point_config(
+            tmp_path, estimator=name, spec=spec, n=[900], m=[25], epsilon=[2.0],
+            delta=[delta], alpha=[0.5],
+        )
+        run_experiment(cfg)
+        assert calls == {"sample_batch_means": 1, "PersonDataset": 0}
+        trial = read_rows(cfg.output_path)[0]
+        assert trial["row_type"] == "trial" and float(trial["l2_error"]) < float("inf")
+
+    @pytest.mark.parametrize("name", sorted(harness.ESTIMATORS))
+    def test_overflowing_person_mean_never_reaches_estimator(self, name):
+        # every sample is finite, but person 5's average of 64 overflows to inf
+        d, delta = REGISTRY_CASES[name]
+        values = np.random.default_rng(3).normal(0.3, 1.0, size=(3000, 64, d))
+        values[5] = 1.7e308
         params = ProblemParams(k=4.0, alpha=0.5, beta=0.1, range_R=2.0)
-        harness.ESTIMATORS[name](data, PrivacyBudget(2.0, delta), params, 7)
-        assert calls == {"person_means": 1, "__post_init__": 0}
+        with pytest.raises(ParameterError, match="person 5 has a non-finite mean"):
+            harness.ESTIMATORS[name](
+                PersonDataset(values).person_means(), PrivacyBudget(2.0, delta), params, 7
+            )
 
 
 class TestConfigValidation:
@@ -94,8 +114,8 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             one_point_config(tmp_path, d=[3])
 
-    def test_from_json_round_trip(self, tmp_path):
-        cfg = one_point_config(tmp_path)
+    @staticmethod
+    def payload(output_path, **overrides):
         payload = {
             "estimator": "est1d",
             "spec": json.loads(SPEC1.to_json()),
@@ -107,10 +127,52 @@ class TestConfigValidation:
             "k": [4.0],
             "trials": 1,
             "seed": 99,
-            "output_path": cfg.output_path,
+            "output_path": output_path,
         }
-        parsed = ExperimentConfig.from_json(json.dumps(payload))
+        payload.update(overrides)
+        return json.dumps(payload)
+
+    def test_from_json_round_trip(self, tmp_path):
+        cfg = one_point_config(tmp_path)
+        parsed = ExperimentConfig.from_json(self.payload(cfg.output_path))
         assert parsed.grid_points() == cfg.grid_points()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("n", [256.9]), ("m", [100.5]), ("d", [1.5]), ("trials", 2.7), ("trials", True),
+         ("seed", 3.9), ("seed", "99"), ("n", [float("inf")])],
+    )
+    def test_from_json_rejects_non_integers(self, tmp_path, key, value):
+        # int() would truncate these (true reads as 1) instead of refusing them
+        with pytest.raises(ConfigurationError, match="malformed experiment config"):
+            ExperimentConfig.from_json(self.payload(str(tmp_path / "out.csv"), **{key: value}))
+
+    def test_from_json_accepts_integral_floats(self, tmp_path):
+        cfg = one_point_config(tmp_path)
+        text = self.payload(cfg.output_path, n=[256.0], m=[100.0], trials=1.0, seed=99.0)
+        parsed = ExperimentConfig.from_json(text)
+        assert parsed.grid_points() == cfg.grid_points()
+        assert (parsed.trials, parsed.seed) == (1, 99)
+        assert all(type(v) is int for v in parsed.n + parsed.m + [parsed.trials, parsed.seed])
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("m", [16.5]), ("trials", 100000.5), ("trials", True), ("seed", 5.5),
+         ("grid_points_per_window", 2.5)],
+    )
+    def test_tailbench_from_json_rejects_non_integers(self, tmp_path, key, value):
+        payload = {
+            "specs": [json.loads(SPEC1.to_json())],
+            "m": [16],
+            "bounds": ["berry_esseen"],
+            "trials": 1e5,
+            "seed": 5,
+            "output_path": str(tmp_path / "tb.csv"),
+        }
+        assert TailbenchConfig.from_json(json.dumps(payload)).trials == 100_000
+        payload[key] = value
+        with pytest.raises(ConfigurationError, match="malformed tailbench config"):
+            TailbenchConfig.from_json(json.dumps(payload))
 
 
 class TestRunExperiment:

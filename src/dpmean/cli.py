@@ -27,6 +27,7 @@ from .core import (
     SyntheticSpec,
     config_errors,
     sample_batch_means,
+    strict_float,
     strict_int,
 )
 from .clipping import clip_ball, trunc_1d
@@ -129,12 +130,14 @@ def _run_estimate(args) -> int:
 
     with config_errors("estimate config"):
         params = ProblemParams(
-            k=float(cfg["k"]),
-            alpha=float(cfg["alpha"]),
-            beta=float(cfg.get("beta", 0.1)),
-            range_R=float(cfg.get("range_R", 2.0)),
+            k=strict_float(cfg["k"]),
+            alpha=strict_float(cfg["alpha"]),
+            beta=strict_float(cfg.get("beta", 0.1)),
+            range_R=strict_float(cfg.get("range_R", 2.0)),
         )
-        budget = PrivacyBudget(float(cfg["epsilon"]), float(cfg.get("delta", 0.0) or 0.0))
+        delta = cfg.get("delta")
+        delta = 0.0 if delta is None else strict_float(delta)
+        budget = PrivacyBudget(strict_float(cfg["epsilon"]), delta)
         seed = strict_int(cfg["seed"])
     data = read_dataset_csv(args.data).person_means()
     report = ESTIMATORS[cfg["estimator"]](data, budget, params, seed)
@@ -146,26 +149,22 @@ def _run_estimate(args) -> int:
     return 0
 
 
-def _run_sweep(args) -> int:
+# The config-file subcommands: command -> (config class, runner).
+_CONFIG_RUNS = {
+    "sweep": (ExperimentConfig, run_experiment),
+    "tailbench": (TailbenchConfig, run_tailbench),
+}
+
+
+def _run_config(args) -> int:
+    config_class, runner = _CONFIG_RUNS[args.command]
     with open(args.config) as fh:
-        config = ExperimentConfig.from_json(fh.read())
+        config = config_class.from_json(fh.read())
     if args.seed is not None:
         config.seed = args.seed
     if args.out:
         config.output_path = args.out
-    path = run_experiment(config, threads=args.threads)
-    print(f"wrote {path}")
-    return 0
-
-
-def _run_tailbench(args) -> int:
-    with open(args.config) as fh:
-        config = TailbenchConfig.from_json(fh.read())
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out:
-        config.output_path = args.out
-    path = run_tailbench(config, threads=args.threads)
+    path = runner(config, threads=args.threads)
     print(f"wrote {path}")
     return 0
 
@@ -268,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
         (
             "sweep",
             "run an experiment grid from a JSON config",
-            "worker threads (default: $DPMEAN_THREADS, else 1)",
+            "worker threads (default: 1)",
         ),
         (
             "tailbench",
@@ -280,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
-        p.add_argument("--threads", type=int, help=threads_help)
+        p.add_argument("--threads", type=int, default=1, help=threads_help)
 
     p_lemma = sub.add_parser("lemma-checks", help="run the lemma verification battery")
     p_lemma.add_argument("--seed", type=int)
@@ -298,10 +297,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "estimate":
             return _run_estimate(args)
-        if args.command == "sweep":
-            return _run_sweep(args)
-        if args.command == "tailbench":
-            return _run_tailbench(args)
+        if args.command in _CONFIG_RUNS:
+            return _run_config(args)
         if args.command == "lemma-checks":
             return _run_lemma_checks(args)
         return selftest()

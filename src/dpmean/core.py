@@ -29,6 +29,7 @@ __all__ = [
     "EstimationFailedError",
     "config_errors",
     "strict_int",
+    "strict_float",
     "Seed",
     "derive_rng",
     "derive_seed",
@@ -69,7 +70,7 @@ def config_errors(what: str):
         raise
     except KeyError as exc:
         raise ConfigurationError(f"{what} missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed {what}: {exc}") from exc
 
 
@@ -82,6 +83,15 @@ def strict_int(value) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ValueError(f"expected an integer, got {value!r}")
+
+
+def strict_float(value) -> float:
+    """A real config field: an int or a float.  A bool or a string (true,
+    "0.15") is a ValueError, which ``config_errors`` reports, instead of
+    being converted by ``float()``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"expected a number, got {value!r}")
 
 
 # A seed is a plain unsigned 64-bit integer.  Sub-streams are derived with
@@ -373,7 +383,7 @@ class SyntheticSpec:
             return cls(
                 family=raw["family"],
                 mean=None if raw.get("mean") is None else tuple(raw["mean"]),
-                k=float(raw.get("k", 4.0)),
+                k=strict_float(raw.get("k", 4.0)),
                 extra=dict(raw.get("extra", {})),
             )
 
@@ -422,19 +432,21 @@ class EstimateReport:
 # Sampling operations
 # ---------------------------------------------------------------------------
 
-def sample_batch_means(
-    spec: SyntheticSpec, m: int, trials: int, seed: Seed, chunk: int = 1 << 22
-) -> np.ndarray:
+# Most scalar samples ``sample_batch_means`` holds at once.
+BATCH_CHUNK = 1 << 22
+
+
+def sample_batch_means(spec: SyntheticSpec, m: int, trials: int, seed: Seed) -> np.ndarray:
     """``trials`` independent means of m draws, shape (trials, d).
 
-    Memory-bounded: generates at most ``chunk`` scalar samples at a time,
-    one derived stream per chunk.
+    Memory-bounded: generates at most ``BATCH_CHUNK`` scalar samples at a
+    time, one derived stream per chunk.
     """
     if m < 1 or trials < 1:
         raise ParameterError("need m, trials >= 1")
     d = spec.dim
     out = np.empty((trials, d))
-    per_chunk = max(1, chunk // (m * d))
+    per_chunk = max(1, BATCH_CHUNK // (m * d))
     start = 0
     chunk_index = 0
     while start < trials:

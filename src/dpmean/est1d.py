@@ -2,7 +2,10 @@
 estimation followed by truncate-and-noise fine estimation.
 
 The stages read a column of per-person means, shape (n,), each the average
-of m samples; ``estimate_mean_1d`` takes it from its ``PersonMeans``.
+of m samples; ``estimate_mean_1d`` takes it from its ``PersonMeans``.  Each
+stage returns the values it releases: ``range_estimator`` the winning
+bucket (lo, hi), whose midpoint is mu_coarse, and ``fine_estimate_1d`` the
+estimate and its Laplace scale.
 
 Convention used throughout: a coarse run with bucket width r guarantees
 |mu_coarse - mu| < 2r, so a caller wanting coarse accuracy u picks width
@@ -13,7 +16,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +33,6 @@ from .clipping import trunc_1d, truncation_bias_bound
 from .mechanisms import BudgetLedger, HistogramSpec, laplace_noise, private_histogram
 
 __all__ = [
-    "CoarseResult",
-    "FineConfig",
     "range_estimator",
     "fine_estimate_1d",
     "choose_rho_1d",
@@ -45,40 +45,12 @@ __all__ = [
 DEFAULT_RHO_CONSTANT = 4.0
 
 
-@dataclass(frozen=True)
-class CoarseResult:
-    """Coarse range estimate: the midpoint of the winning histogram bucket."""
-
-    mu_coarse: float
-    bucket: tuple
-    accuracy_claim: float  # 2r for bucket width r
-
-    def __post_init__(self):
-        lo, hi = self.bucket
-        if not math.isclose(self.mu_coarse, (lo + hi) / 2, rel_tol=1e-9, abs_tol=1e-12):
-            raise ParameterError("mu_coarse must be the bucket midpoint")
-
-
-@dataclass(frozen=True)
-class FineConfig:
-    """Fine-estimation config: truncation radius and assumed coarse accuracy."""
-
-    rho: float
-    u_err: float
-
-    def __post_init__(self):
-        if not (self.rho > 0):
-            raise ParameterError(f"rho must be > 0, got {self.rho}")
-        if self.u_err < 0:
-            raise ParameterError("u_err must be >= 0")
-
-
 def range_estimator(
     means: np.ndarray, m: int, budget: PrivacyBudget, r: float, R: float, seed: Seed
-) -> CoarseResult:
+) -> tuple:
     """Histogram the per-person averages ``means`` (shape (n,), m samples
-    each) over width-r buckets and return the midpoint of the heaviest
-    released bucket.
+    each) over width-r buckets and return the heaviest released bucket
+    (lo, hi); its midpoint is within 2r of the mean.
 
     budget.delta selects the histogram variant (pure vs stability).  Ties go
     to the bucket with the smaller left endpoint.  Requires r < R and
@@ -98,42 +70,25 @@ def range_estimator(
     if not hist.released.any():
         raise EstimationFailedError("all histogram buckets were suppressed")
     best = int(np.argmax(counts))  # argmax takes the first max: smallest left endpoint
-    edges = spec.edges
-    lo, hi = float(edges[best]), float(edges[best + 1])
-    return CoarseResult(mu_coarse=(lo + hi) / 2, bucket=(lo, hi), accuracy_claim=2 * r)
+    return float(spec.edges[best]), float(spec.edges[best + 1])
 
 
 def fine_estimate_1d(
-    means: np.ndarray, budget: PrivacyBudget, coarse: CoarseResult, cfg: FineConfig, seed: Seed
-) -> EstimateReport:
-    """Truncate the per-person averages ``means`` (shape (n,)) around the
-    coarse estimate and release their mean with Laplace(2 rho / (n epsilon))
-    noise (pure DP)."""
+    means: np.ndarray, budget: PrivacyBudget, mu_coarse: float, rho: float, u_err: float, seed: Seed
+) -> tuple:
+    """Truncate the per-person averages ``means`` (shape (n,)) to
+    mu_coarse +- rho and release their mean with Laplace(2 rho / (n epsilon))
+    noise (pure DP).  ``u_err`` is the coarse stage's accuracy claim, which
+    rho must exceed.  Returns (estimate, noise_scale)."""
     if means.ndim != 1:
         raise ParameterError("fine_estimate_1d is univariate: means must have shape (n,)")
     if not budget.is_pure:
         raise ParameterError("fine estimation adds Laplace noise; budget must be pure (delta = 0)")
-    if not (cfg.rho > cfg.u_err):
-        raise ParameterError(f"need rho > u_err, got rho={cfg.rho}, u_err={cfg.u_err}")
-    t0 = time.perf_counter()
-    lo = coarse.mu_coarse - cfg.rho
-    hi = coarse.mu_coarse + cfg.rho
-    truncated = trunc_1d(means, lo, hi)
-    scale = 2 * cfg.rho / (means.shape[0] * budget.epsilon)
-    estimate = float(truncated.mean()) + laplace_noise(scale, seed)
-    return EstimateReport(
-        estimate=np.array([estimate]),
-        epsilon=budget.epsilon,
-        delta=0.0,
-        seed=seed,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        params={
-            "rho": cfg.rho,
-            "u_err": cfg.u_err,
-            "mu_coarse": coarse.mu_coarse,
-            "noise_scale": scale,
-        },
-    )
+    if not (rho > u_err >= 0):
+        raise ParameterError(f"need rho > u_err >= 0, got rho={rho}, u_err={u_err}")
+    truncated = trunc_1d(means, mu_coarse - rho, mu_coarse + rho)
+    scale = 2 * rho / (means.shape[0] * budget.epsilon)
+    return float(truncated.mean()) + laplace_noise(scale, seed), scale
 
 
 def choose_rho_1d(n: int, m: int, epsilon: float, beta: float, k: float) -> float:
@@ -152,48 +107,58 @@ def estimate_mean_1d(
     """Full univariate pipeline: a 50/50 budget split between the coarse range
     estimator and the fine truncate-and-noise step (basic composition).
 
-    Coarse accuracy target is u = max(16^{1/k}, 16)/sqrt(m), realized with
-    bucket width u/2; the fine step truncates to choose_rho_1d's radius.
-    Pure budgets run the pure histogram; delta > 0 switches to the stability
-    variant (fine noise stays Laplace, so all of delta is spent coarse).
+    Coarse accuracy target is u = 16/sqrt(m), realized with bucket width
+    u/2; the fine step truncates to choose_rho_1d's radius.  Pure budgets
+    run the pure histogram; delta > 0 switches to the stability variant
+    (fine noise stays Laplace, so all of delta is spent coarse).
     """
     if data.means.shape[1] != 1:
         raise ParameterError("estimate_mean_1d is univariate (d = 1)")
     t0 = time.perf_counter()
-    report = _estimate_column(data.means[:, 0], data.m, budget, params, seed)
-    report.wall_time_ms = (time.perf_counter() - t0) * 1e3
-    return report
+    estimate, ledger, fields = _estimate_column(data.means[:, 0], data.m, budget, params, seed)
+    total_eps, total_delta = ledger.total()
+    return EstimateReport(
+        estimate=np.array([estimate]),
+        epsilon=total_eps,
+        delta=total_delta,
+        seed=seed,
+        wall_time_ms=(time.perf_counter() - t0) * 1e3,
+        params={**fields, "ledger": ledger.entries},
+    )
 
 
 def _estimate_column(
     means: np.ndarray, m: int, budget: PrivacyBudget, params: ProblemParams, seed: Seed
-) -> EstimateReport:
-    """The pipeline of ``estimate_mean_1d`` on one column of per-person means."""
+) -> tuple:
+    """The pipeline of ``estimate_mean_1d`` on one column of per-person means.
+
+    Returns (estimate, ledger, fields): the released value, the ledger of
+    both stages' charges, and the report fields of ``estimate_mean_1d``
+    other than the ledger.
+    """
     eps_stage = budget.epsilon / 2
-    u_target = max(16 ** (1 / params.k), 16.0) / math.sqrt(m)
-    r = u_target / 2
+    r = 16 / math.sqrt(m) / 2
     coarse_budget = PrivacyBudget(eps_stage, budget.delta)
-    coarse = range_estimator(means, m, coarse_budget, r, params.range_R, derive_seed(seed, 0))
+    lo, hi = range_estimator(means, m, coarse_budget, r, params.range_R, derive_seed(seed, 0))
+    mu_coarse = (lo + hi) / 2
 
     rho = choose_rho_1d(means.shape[0], m, eps_stage, params.beta, params.k)
-    cfg = FineConfig(rho=rho, u_err=coarse.accuracy_claim)
+    u_err = 2 * r
     fine_budget = PrivacyBudget(eps_stage, 0.0)
-    report = fine_estimate_1d(means, fine_budget, coarse, cfg, seed=derive_seed(seed, 1))
+    estimate, scale = fine_estimate_1d(
+        means, fine_budget, mu_coarse, rho, u_err, derive_seed(seed, 1)
+    )
 
     ledger = BudgetLedger()
     ledger.add(eps_stage, budget.delta)
     ledger.add(eps_stage, 0.0)
-    total_eps, total_delta = ledger.total()
-    bias_bound = truncation_bias_bound(m, params.k, rho - cfg.u_err)
-    report.epsilon = total_eps
-    report.delta = total_delta
-    report.seed = seed
-    report.params.update(
-        {
-            "constant_c": DEFAULT_RHO_CONSTANT,
-            "coarse_bucket": coarse.bucket,
-            "ledger": ledger.entries,
-            "bias_bound_applicable": bias_bound is not None,
-        }
-    )
-    return report
+    fields = {
+        "rho": rho,
+        "u_err": u_err,
+        "mu_coarse": mu_coarse,
+        "noise_scale": scale,
+        "constant_c": DEFAULT_RHO_CONSTANT,
+        "coarse_bucket": (lo, hi),
+        "bias_bound_applicable": truncation_bias_bound(m, params.k, rho - u_err) is not None,
+    }
+    return estimate, ledger, fields

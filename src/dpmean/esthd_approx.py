@@ -108,12 +108,12 @@ def coarse_estimate_hd(
     out = np.empty(d)
     for j in range(d):
         try:
-            coarse = range_estimator(
+            lo, hi = range_estimator(
                 means[:, j], m, coord_budget, r=width, R=range_R, seed=derive_seed(seed, j)
             )
         except EstimationFailedError as exc:
             raise EstimationFailedError(f"coarse stage, coordinate {j}: {exc}") from exc
-        out[j] = coarse.mu_coarse
+        out[j] = (lo + hi) / 2
     return out
 
 

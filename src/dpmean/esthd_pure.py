@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .est1d import _estimate_column
 from .mechanisms import exponential_mechanism
 
 __all__ = [
-    "ScoreRecord",
     "comparison_rho",
     "mom_subsample_count",
     "global_cover",
@@ -75,20 +73,6 @@ def mom_subsample_count(beta: float) -> int:
         raise ParameterError(f"beta must be in (0, 1), got {beta}")
     count = math.ceil(10 * math.log(1 / beta))
     return count + 1 if count % 2 == 0 else count
-
-
-@dataclass(frozen=True)
-class ScoreRecord:
-    """Exponential-mechanism score of one candidate: min corruption margin
-    over its local cover, clamped to [0, n * alpha]."""
-
-    candidate: np.ndarray
-    score: float
-    cap: float
-
-    def __post_init__(self):
-        if not (0 <= self.score <= self.cap):
-            raise ParameterError("score out of [0, cap]")
 
 
 def _axis_grid(center: float, half_width: float, intervals: int) -> np.ndarray:
@@ -212,10 +196,11 @@ def _project_batch(
 
 def score_candidate(
     means: np.ndarray, m: int, p: np.ndarray, alpha: float, beta: float, seed: Seed, k: float
-) -> ScoreRecord:
-    """Score of candidate p on the (n, d) per-person means ``means`` (m
-    samples each): zero as soon as any local-cover challenger beats p,
-    otherwise the smallest flip margin over the cover, capped at n * alpha.
+) -> float:
+    """Exponential-mechanism score of candidate p on the (n, d) per-person
+    means ``means`` (m samples each): zero as soon as any local-cover
+    challenger beats p, otherwise the smallest flip margin over the cover,
+    capped at n * alpha.
 
     Changing one person's batch moves the score by at most 1.
     """
@@ -228,16 +213,13 @@ def score_candidate(
     n, d = means.shape
     cover = local_cover(p, alpha, d)
     assert len(cover) > 0
-    cap = n * alpha
     block_means, midpoints, block, rho = _project_batch(means, m, p, cover, alpha, beta, seed, k)
     # margins[j] is the greedy number of whole-batch corruptions that make p
     # lose to challenger j when p currently wins.
     margins, q_wins = _flip_costs(block_means, midpoints, block, rho)
     if q_wins.any():
-        score = 0.0
-    else:
-        score = min(float(margins.min()), cap)
-    return ScoreRecord(candidate=p, score=score, cap=cap)
+        return 0.0
+    return min(float(margins.min()), n * alpha)
 
 
 def fine_est_pure(
@@ -265,10 +247,9 @@ def fine_est_pure(
 
     def scored():
         for i, point in enumerate(cover):
-            rec = score_candidate(
+            yield i, score_candidate(
                 means, m, point, alpha_test, beta_test, derive_seed(seed, 1, i), params.k
             )
-            yield i, rec.score
 
     choice = exponential_mechanism(scored(), sensitivity=1.0, epsilon=epsilon, seed=derive_seed(seed, 2))
     return cover[choice].copy()
@@ -304,12 +285,11 @@ def estimate_pure_full(
     mu_coarse = np.empty(d)
     for j in range(d):
         try:
-            report = _estimate_column(
+            mu_coarse[j], _, _ = _estimate_column(
                 means[:half, j], data.m, coord_budget, coord_params, derive_seed(seed, 0, j)
             )
         except EstimationFailedError as exc:
             raise EstimationFailedError(f"coarse stage, coordinate {j}: {exc}") from exc
-        mu_coarse[j] = report.estimate[0]
 
     recentered = means[half : 2 * half] - mu_coarse
     fine_params = ProblemParams(

@@ -22,7 +22,6 @@ import csv
 import itertools
 import json
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -41,6 +40,7 @@ from .core import (
     derive_seed,
     sample_batch_means,
     stable_hash,
+    strict_float,
     strict_int,
 )
 
@@ -52,7 +52,6 @@ __all__ = [
     "run_experiment",
     "TailbenchConfig",
     "run_tailbench",
-    "resolve_threads",
 ]
 
 CSV_SCHEMA_VERSION = "1"
@@ -74,14 +73,6 @@ ESTIMATORS = {
     "hd_two_round": _registered(esthd_approx, "estimate_two_round"),
     "pure_dp": _registered(esthd_pure, "estimate_pure_full"),
 }
-
-
-def resolve_threads(requested: int | None) -> int:
-    """Thread count: explicit argument, else DPMEAN_THREADS, else 1."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("DPMEAN_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def _vec(x) -> str:
@@ -140,16 +131,16 @@ class ExperimentConfig:
                 spec=SyntheticSpec.from_json(json.dumps(raw["spec"])),
                 n=[strict_int(v) for v in raw["n"]],
                 m=[strict_int(v) for v in raw["m"]],
-                epsilon=[float(v) for v in raw["epsilon"]],
-                delta=[float(v) for v in raw["delta"]],
-                alpha=[float(v) for v in raw["alpha"]],
-                k=[float(v) for v in raw["k"]],
+                epsilon=[strict_float(v) for v in raw["epsilon"]],
+                delta=[strict_float(v) for v in raw["delta"]],
+                alpha=[strict_float(v) for v in raw["alpha"]],
+                k=[strict_float(v) for v in raw["k"]],
                 trials=strict_int(raw["trials"]),
                 seed=strict_int(raw["seed"]),
                 output_path=raw["output_path"],
                 d=[strict_int(v) for v in raw.get("d", [])],
-                beta=float(raw.get("beta", 0.1)),
-                range_R=float(raw.get("range_R", 2.0)),
+                beta=strict_float(raw.get("beta", 0.1)),
+                range_R=strict_float(raw.get("range_R", 2.0)),
             )
 
 
@@ -245,15 +236,17 @@ def _run_one(config: ExperimentConfig, point: dict, trial: int) -> dict:
     )
 
 
-def run_experiment(config: ExperimentConfig, threads: int | None = None) -> str:
+def run_experiment(config: ExperimentConfig, threads: int = 1) -> str:
     """Run the full grid x trials cross product and write the CSV.
 
     Returns the output path.  A summary row (median error, success@alpha)
-    follows each grid point's trials.  ``resolve_threads(threads)`` workers
+    follows each grid point's trials.  ``threads`` workers (at least 1)
     take trials from one queue in grid order; the calling thread is worker 0,
     so one worker runs every trial in the caller, in grid order.  The first
     exception stops the workers from starting further trials and propagates.
     """
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
     points = config.grid_points()
     errors = [[] for _ in points]
     queue = [(i, trial) for i in range(len(points)) for trial in range(config.trials)]
@@ -293,7 +286,7 @@ def run_experiment(config: ExperimentConfig, threads: int | None = None) -> str:
                         writer.writerow(summary)
                     fh.flush()
 
-        helpers = [threading.Thread(target=work) for _ in range(resolve_threads(threads) - 1)]
+        helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
         for helper in helpers:
             helper.start()
         try:

@@ -142,13 +142,13 @@ class TestA3PureDp:
         n, m, alpha, k = 2048, 64, 0.25, 4.0
         spec = SyntheticSpec("scaled_gaussian", mean=(alpha / 9,), k=k)
         base = sample_batch_means(spec, m, n, 0xA35)
-        base_score = score_candidate(base, m, np.zeros(1), alpha, 0.1, 7, k=k).score
+        base_score = score_candidate(base, m, np.zeros(1), alpha, 0.1, 7, k=k)
         rng = derive_rng(0xA36)
         violations = 0
         for _ in range(1000):
             means = base.copy()
             means[rng.integers(n)] = rng.normal(loc=rng.uniform(-3, 3), size=(m, 1)).mean(axis=0)
-            score = score_candidate(means, m, np.zeros(1), alpha, 0.1, 7, k=k).score
+            score = score_candidate(means, m, np.zeros(1), alpha, 0.1, 7, k=k)
             violations += abs(score - base_score) > 1 + 1e-9
         report("A3(sens)", violations == 0, f"{violations} violations over 1000 pairs", t0, 1200)
 

@@ -203,6 +203,23 @@ class TestEstimateInProcess:
         assert captured.out == ""
         assert "malformed estimate config" in captured.err
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("k", "4"), ("alpha", True), ("beta", "0.1"), ("range_R", "2.0"), ("epsilon", True),
+         ("delta", False)],
+    )
+    def test_config_non_number_float_exit_2(self, tmp_path, capsys, key, value):
+        cfg = json.loads((FIXTURES / "est1d_config.json").read_text())
+        cfg[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["estimate", "--data", str(FIXTURES / "est1d_dataset.csv"),
+                   "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "malformed estimate config" in captured.err
+
     def test_overflowing_person_mean_exit_2(self, tmp_path, capsys):
         # every value is finite, but person p3's average of 4 samples overflows
         lines = ["person_id,sample_id,x1,x2"]
@@ -262,6 +279,27 @@ class TestSweepInProcess:
         capsys.readouterr()
         assert rc == 0
         assert (tmp_path / "sweep.csv").exists()
+
+    def test_sweep_threads_below_one_exit_2(self, tmp_path, capsys):
+        cfg = {
+            "estimator": "est1d",
+            "spec": {"family": "scaled_gaussian", "mean": [0.3], "k": 4.0, "extra": {}},
+            "n": [256],
+            "m": [100],
+            "epsilon": [1.0],
+            "delta": [0.0],
+            "alpha": [0.15],
+            "k": [4.0],
+            "trials": 2,
+            "seed": 3,
+            "output_path": str(tmp_path / "sweep.csv"),
+        }
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["sweep", "--config", str(cfg_path), "--threads", "0"])
+        assert rc == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
 
     def test_sweep_config_not_json_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

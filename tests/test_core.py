@@ -1,8 +1,13 @@
+import importlib
+import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import dpmean
+from dpmean import core
 from dpmean.core import (
     ClipBall,
     ConfigurationError,
@@ -100,6 +105,17 @@ class TestTypes:
             ClipBall(np.zeros(2), -1.0)
 
 
+class TestStrictFields:
+    def test_strict_float_takes_numbers(self):
+        assert core.strict_float(2) == 2.0 and type(core.strict_float(2)) is float
+        assert core.strict_float(0.15) == 0.15
+
+    @pytest.mark.parametrize("value", [True, False, "0.15", "4", None, [1.0]])
+    def test_strict_float_rejects_the_rest(self, value):
+        with pytest.raises(ValueError, match="expected a number"):
+            core.strict_float(value)
+
+
 class TestRng:
     def test_derive_rng_reproducible(self):
         a = derive_rng(7, 1, 2).standard_normal(4)
@@ -172,6 +188,12 @@ class TestSyntheticSpec:
         draws = spec.sample(derive_rng(11), 200_000)[:, 0]
         assert abs(draws.mean()) < 5e-3
 
+    @pytest.mark.parametrize("k", [True, "4"])
+    def test_from_json_rejects_non_number_k(self, k):
+        text = '{"family": "scaled_gaussian", "mean": [0.0], "k": %s}' % json.dumps(k)
+        with pytest.raises(ConfigurationError, match="malformed spec JSON"):
+            SyntheticSpec.from_json(text)
+
     def test_json_round_trip(self):
         spec = SyntheticSpec(
             "point_mass_mixture", mean=(0.1, 0.2), k=3.5, extra={"alpha": 0.01, "v": [0.6, 0.8]}
@@ -205,10 +227,11 @@ class TestSampling:
         sigma_k = gaussian_abs_moment(3.0) ** (1 / 3.0)
         assert math.isclose(means.std(ddof=1), 1 / (sigma_k * 4), rel_tol=0.02)
 
-    def test_batch_means_chunking_invariant(self):
+    def test_batch_means_chunking_invariant(self, monkeypatch):
+        monkeypatch.setattr(core, "BATCH_CHUNK", 64)
         spec = gaussian_spec()
-        a = sample_batch_means(spec, 4, 1000, 9, chunk=64)
-        b = sample_batch_means(spec, 4, 1000, 9, chunk=64)
+        a = sample_batch_means(spec, 4, 1000, 9)
+        b = sample_batch_means(spec, 4, 1000, 9)
         np.testing.assert_array_equal(a, b)
 
 
@@ -327,3 +350,11 @@ class TestDirectionGrid:
         np.testing.assert_array_equal(grid, direction_grid(d))
         if d > 1:
             assert grid.shape[0] == d + 64
+
+
+def test_every_export_resolves():
+    names = [info.name for info in pkgutil.iter_modules(dpmean.__path__)]
+    modules = [dpmean] + [importlib.import_module(f"dpmean.{name}") for name in names]
+    for module in modules:
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names missing attributes {missing}"

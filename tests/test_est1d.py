@@ -15,8 +15,6 @@ from dpmean.core import (
 )
 from dpmean.est1d import (
     DEFAULT_RHO_CONSTANT,
-    CoarseResult,
-    FineConfig,
     choose_rho_1d,
     estimate_mean_1d,
     fine_estimate_1d,
@@ -41,20 +39,11 @@ def column(data):
     return data.means[:, 0]
 
 
-class TestCoarseResult:
-    def test_midpoint_enforced(self):
-        CoarseResult(mu_coarse=0.5, bucket=(0.0, 1.0), accuracy_claim=2.0)
-        with pytest.raises(ParameterError):
-            CoarseResult(mu_coarse=0.7, bucket=(0.0, 1.0), accuracy_claim=2.0)
-
-
 class TestRangeEstimator:
     def test_noiseless_bucketing(self):
         data = constant_dataset(0.4, 50, 4)
         res = range_estimator(column(data), data.m, PrivacyBudget(1e12, 0.0), r=1.0, R=2.0, seed=3)
-        assert res.mu_coarse == 0.5
-        assert res.bucket == (0.0, 1.0)
-        assert res.accuracy_claim == 2.0
+        assert res == (0.0, 1.0)
 
     def test_precondition_errors(self):
         data = constant_dataset(0.4, 10, 4)
@@ -68,11 +57,11 @@ class TestRangeEstimator:
         hits = 0
         for trial in range(200):
             data = draw(GAUSS, 500, 100, derive_seed(42, trial))
-            res = range_estimator(
+            lo, hi = range_estimator(
                 column(data), data.m, PrivacyBudget(1.0, 0.0), r=0.4, R=2.0,
                 seed=derive_seed(43, trial),
             )
-            hits += abs(res.mu_coarse - 0.3) < 0.8
+            hits += abs((lo + hi) / 2 - 0.3) < 0.8
         assert hits / 200 >= 0.95
 
     def test_tiny_epsilon_failure_rate_smoke(self):
@@ -82,11 +71,11 @@ class TestRangeEstimator:
         for trial in range(20):
             data = draw(GAUSS, 200, 100, derive_seed(5, trial))
             try:
-                res = range_estimator(
+                lo, hi = range_estimator(
                     column(data), data.m, PrivacyBudget(0.001, 0.0), r=0.4, R=2.0,
                     seed=derive_seed(6, trial),
                 )
-                outcomes.append(abs(res.mu_coarse - 0.3) < 0.8)
+                outcomes.append(abs((lo + hi) / 2 - 0.3) < 0.8)
             except EstimationFailedError:
                 outcomes.append(False)
         assert len(outcomes) == 20
@@ -100,40 +89,39 @@ class TestRangeEstimator:
 class TestFineEstimate:
     def test_no_clip_no_noise_recovers_grand_mean(self):
         data = draw(GAUSS, 100, 10, 3)
-        coarse = CoarseResult(0.5, (0.0, 1.0), 2.0)
-        cfg = FineConfig(rho=1e3, u_err=0.0)  # no clipping; noise scale 2e-11
-        report = fine_estimate_1d(column(data), PrivacyBudget(1e12, 0.0), coarse, cfg, seed=7)
+        # no clipping; noise scale 2e-11
+        estimate, scale = fine_estimate_1d(
+            column(data), PrivacyBudget(1e12, 0.0), 0.5, rho=1e3, u_err=0.0, seed=7
+        )
         grand = column(data).mean()
-        assert abs(report.estimate[0] - grand) < 1e-9
+        assert abs(estimate - grand) < 1e-9
+        assert scale == 2 * 1e3 / (100 * 1e12)
 
     def test_laplace_tail_frequency(self):
         # constant data: |estimate - c| <= (2 rho/(n eps)) ln(2/beta) w.p. >= 1-beta
         data = constant_dataset(0.25, 64, 8)
-        coarse = CoarseResult(0.25, (0.0, 0.5), 1.0)
-        cfg = FineConfig(rho=1.0, u_err=0.1)
+        rho = 1.0
         budget = PrivacyBudget(1.0, 0.0)
         beta = 0.05
-        bound = (2 * cfg.rho / (64 * budget.epsilon)) * math.log(2 / beta)
+        bound = (2 * rho / (64 * budget.epsilon)) * math.log(2 / beta)
         hits = 0
         reps = 10**4
         for rep in range(reps):
-            report = fine_estimate_1d(column(data), budget, coarse, cfg, seed=derive_seed(11, rep))
-            hits += abs(report.estimate[0] - 0.25) <= bound
+            estimate, _ = fine_estimate_1d(
+                column(data), budget, 0.25, rho, 0.1, seed=derive_seed(11, rep)
+            )
+            hits += abs(estimate - 0.25) <= bound
         assert hits / reps >= 1 - beta
 
     def test_requires_pure_budget(self):
         data = constant_dataset(0.0, 8, 4)
-        coarse = CoarseResult(0.0, (-0.5, 0.5), 1.0)
         with pytest.raises(ParameterError):
-            fine_estimate_1d(
-                column(data), PrivacyBudget(1.0, 1e-6), coarse, FineConfig(1.0, 0.0), 3
-            )
+            fine_estimate_1d(column(data), PrivacyBudget(1.0, 1e-6), 0.0, 1.0, 0.0, 3)
 
     def test_requires_rho_above_u_err(self):
         data = constant_dataset(0.0, 8, 4)
-        coarse = CoarseResult(0.0, (-0.5, 0.5), 1.0)
         with pytest.raises(ParameterError):
-            fine_estimate_1d(column(data), PrivacyBudget(1.0), coarse, FineConfig(0.5, 0.6), 3)
+            fine_estimate_1d(column(data), PrivacyBudget(1.0), 0.0, 0.5, 0.6, 3)
 
 
 class TestChooseRho:

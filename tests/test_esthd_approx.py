@@ -72,11 +72,11 @@ class TestCoarseHd:
         spec1 = SyntheticSpec("scaled_gaussian", mean=(0.3,), k=4.0)
         data = draw(spec1, 512, 100, 3)
         out = coarse_estimate_hd(data.means, data.m, BUDGET, r=1.6, seed=17, range_R=2.0)
-        direct = range_estimator(
+        lo, hi = range_estimator(
             data.means[:, 0], data.m, BUDGET, r=0.8, R=2.0, seed=derive_seed(17, 0)
         )
         assert out.shape == (1,)
-        assert out[0] == direct.mu_coarse
+        assert out[0] == (lo + hi) / 2
 
     def test_noiseless_midpoints(self):
         data = constant_dataset([0.4, -0.4], 4096, 100)

@@ -147,6 +147,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="malformed experiment config"):
             ExperimentConfig.from_json(self.payload(str(tmp_path / "out.csv"), **{key: value}))
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("epsilon", [True]), ("alpha", ["0.15"]), ("delta", [False]), ("k", ["4"]),
+         ("beta", True), ("range_R", "2.0"), ("epsilon", [10**400])],
+    )
+    def test_from_json_rejects_non_numbers(self, tmp_path, key, value):
+        # float() would read true as 1.0 and "0.15" as 0.15 instead of refusing them
+        with pytest.raises(ConfigurationError, match="malformed experiment config"):
+            ExperimentConfig.from_json(self.payload(str(tmp_path / "out.csv"), **{key: value}))
+
+    def test_from_json_rejects_non_number_spec_k(self, tmp_path):
+        spec = {**json.loads(SPEC1.to_json()), "k": True}
+        with pytest.raises(ConfigurationError, match="malformed spec JSON"):
+            ExperimentConfig.from_json(self.payload(str(tmp_path / "out.csv"), spec=spec))
+
     def test_from_json_accepts_integral_floats(self, tmp_path):
         cfg = one_point_config(tmp_path)
         text = self.payload(cfg.output_path, n=[256.0], m=[100.0], trials=1.0, seed=99.0)
@@ -210,6 +225,13 @@ class TestRunExperiment:
             ra.pop("wall_time_ms")
             rb.pop("wall_time_ms")
             assert ra == rb
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, tmp_path, threads):
+        cfg = one_point_config(tmp_path)
+        with pytest.raises(ConfigurationError, match="threads must be >= 1"):
+            run_experiment(cfg, threads=threads)
+        assert not (tmp_path / "out.csv").exists()
 
     def test_summary_statistics(self, tmp_path):
         cfg = one_point_config(tmp_path, trials=5)

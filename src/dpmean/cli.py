@@ -41,6 +41,53 @@ class DatasetFormatError(ValueError):
     """Malformed dataset CSV; message carries the offending line number."""
 
 
+def _sample_key(sample: str):
+    """The sort key of a stripped sample id: numeric iff "-"? then decimal
+    digits with at most one "."; exact values, and equal numbers hash alike,
+    so 1 and Decimal("1.0") are one key.  Numbers sort before other ids."""
+    digits = sample.removeprefix("-")
+    if digits.isdecimal():
+        return (0, int(sample))
+    if digits.replace(".", "", 1).isdecimal():
+        return (0, Decimal(sample))
+    return (1, sample)
+
+
+def _parse_fast(text: str, lines: list, d: int):
+    """The data rows of ``lines`` as the (n, m, d) array ``read_dataset_csv``
+    returns, parsed in one ``np.loadtxt`` call; None where the row loop must
+    decide instead."""
+    rows_expected = sum(1 for line in lines[1:] if line.strip())
+    # numpy strips U+001F around a number and float() does not; U+001C-1E
+    # never reach a line, since splitlines() breaks on them
+    if not rows_expected or "\x1f" in text:
+        return None
+    try:
+        rows = np.loadtxt(
+            lines, delimiter=",", skiprows=1, comments=None, quotechar=None, ndmin=1,
+            dtype=[("person", object), ("sample", object), ("x", np.float64, (d,))],
+        )
+    except ValueError:
+        return None
+    if len(rows) != rows_expected:
+        return None
+    people: dict = {}
+    person = np.array([people.setdefault(p.strip(), len(people)) for p in rows["person"].tolist()])
+    ids: dict = {}
+    sample = np.array([ids.setdefault(s, len(ids)) for s in rows["sample"].tolist()])
+    keys = [_sample_key(s.strip()) for s in ids]
+    rank = {key: r for r, key in enumerate(sorted(set(keys)))}
+    sample_rank = np.array([rank[key] for key in keys])[sample]
+    counts = np.bincount(person)
+    if counts.min() != counts.max():
+        return None
+    order = np.lexsort((sample_rank, person))
+    ranks = sample_rank[order].reshape(len(people), -1)
+    if (ranks[:, 1:] == ranks[:, :-1]).any():
+        return None
+    return rows["x"][order].reshape(len(people), -1, d)
+
+
 def read_dataset_csv(path: str) -> PersonDataset:
     """Parse the dataset interchange format.
 
@@ -49,9 +96,17 @@ def read_dataset_csv(path: str) -> PersonDataset:
     Samples are ordered by sample_id within person, numerically and exactly
     when the id is a decimal number (so ``1`` and ``1.0`` are the same key,
     and no two distinct numbers are); people by first appearance.
+
+    Every data row is parsed in one ``np.loadtxt`` call and ordered with one
+    ``np.lexsort``.  A row loop decides instead, and writes every
+    line-numbered error, when that parse defers: when loadtxt rejects a row
+    or skips a non-blank one, when a value holds what ``float()`` reads but
+    loadtxt does not (``1_5``, non-ASCII digits), or when sample counts are
+    unequal or one person repeats a sample key.
     """
     with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    lines = text.splitlines()
     if not lines:
         raise DatasetFormatError("line 1: empty dataset file")
     header = [h.strip() for h in lines[0].split(",")]
@@ -61,16 +116,9 @@ def read_dataset_csv(path: str) -> PersonDataset:
         if name != f"x{i}":
             raise DatasetFormatError(f"line 1: expected column x{i}, found {name!r}")
     d = len(header) - 2
-
-    def sample_key(sample):
-        # numeric iff "-"? then decimal digits with at most one "."; exact
-        # values, and equal numbers hash alike, so 1 and Decimal("1.0") are one key
-        digits = sample.removeprefix("-")
-        if digits.isdecimal():
-            return (0, int(sample))
-        if digits.replace(".", "", 1).isdecimal():
-            return (0, Decimal(sample))
-        return (1, sample)
+    values = _parse_fast(text, lines, d)
+    if values is not None:
+        return PersonDataset(values)
 
     people: dict = {}  # person -> {sample key: values}
     for lineno, line in enumerate(lines[1:], start=2):
@@ -87,7 +135,7 @@ def read_dataset_csv(path: str) -> PersonDataset:
         except ValueError:
             raise DatasetFormatError(f"line {lineno}: non-numeric sample value") from None
         samples = people.setdefault(person, {})
-        key = sample_key(sample)
+        key = _sample_key(sample)
         if key in samples:
             raise DatasetFormatError(
                 f"line {lineno}: person {person!r} repeats sample_id {sample!r}"

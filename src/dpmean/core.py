@@ -208,6 +208,8 @@ class PrivacyBudget:
     def __post_init__(self):
         if not (self.epsilon > 0):
             raise ParameterError(f"epsilon must be > 0, got {self.epsilon}")
+        if not math.isfinite(self.epsilon):
+            raise ParameterError(f"epsilon must be finite, got {self.epsilon}")
         if not (0 <= self.delta < 1):
             raise ParameterError(f"delta must be in [0, 1), got {self.delta}")
 
@@ -234,6 +236,9 @@ class ProblemParams:
             raise ParameterError(f"beta must be in (0, 1), got {self.beta}")
         if not (self.range_R > 0):
             raise ParameterError(f"range_R must be > 0, got {self.range_R}")
+        for name in ("k", "alpha", "range_R"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from dpmean import cli
 from dpmean.cli import DatasetFormatError, main, read_dataset_csv, selftest
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -90,6 +92,99 @@ class TestReadDataset:
         path.write_text("person_id,sample_id,x1\n0,10,3.0\n0,9,2.0\n0,-1.5,1.0\n0,-.5,1.5\n")
         data = read_dataset_csv(str(path))
         assert data.values[0, :, 0].tolist() == [1.0, 1.5, 2.0, 3.0]
+
+
+HEADER1 = "person_id,sample_id,x1\n"
+
+
+def spy_fast_parse(monkeypatch):
+    """Record whether each ``read_dataset_csv`` call took the one-call parse."""
+    taken = []
+
+    def spy(*args, _original=cli._parse_fast):
+        values = _original(*args)
+        taken.append(values is not None)
+        return values
+
+    monkeypatch.setattr(cli, "_parse_fast", spy)
+    return taken
+
+
+def outcome(path):
+    """The array bytes and shape that ``read_dataset_csv`` returns, or the
+    type and message of what it raises."""
+    try:
+        values = read_dataset_csv(str(path)).values
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+    return values.tobytes(), values.shape
+
+
+class TestFastParse:
+    """The one-call parse against the row loop, which is the reference."""
+
+    @pytest.mark.parametrize(
+        "body,fast",
+        [
+            ("p0,0,1.5\np0,1,2.5\np1,0,3.5\np1,1,4.5\n", True),
+            ("p0,0,1.5\r\n\r\np0,1,2.5\r\n\r\np1,1,4.5\r\np1,0,3.5\r\n\n", True),
+            ("  p0 , 1 ,1.5\np0,0 , 2.5\n\tp1\t,0,3.5\np1 ,  1,4.5\n", True),
+            ('#p0,"0,1.5\n#p0,1",2.5\n"p1,"0,3.5\n"p1,1",4.5\n', True),
+            ("p0,0,1.5\x0cp0,1,2.5\np1,0,3.5\np1,1,4.5\n", True),
+            ("p0,0,1_5\np0,1,2.5\np1,0,3.5\np1,1,4.5\n", False),
+            ("p0,0,1.5\xa0\np0,1,\xa02.5\np1,0,3.5\np1,1,4.5\n", True),
+            ("p0,0,١.٥\np0,1,2.5\np1,0,3.5\np1,1,4.5\n", False),
+            ("p0,0,1.5\x1f\np0,1,2.5\np1,0,3.5\np1,1,4.5\n", False),
+            ("p0,b,1\np0,10,2\np0,9.5,3\np0,-1,4\np0,a,5\n"
+             "p1,a,6\np1,-1,7\np1,9.50,8\np1,b,9\np1,10.0,10\n", True),
+            ("p0,7,1.25\n", True),
+            ("p0,0,1.5\np0,1,nan\np1,0,3.5\np1,1,4.5\n", True),
+            ("p0,1,1.5\np0,1.0,2.5\np1,0,3.5\np1,1,4.5\n", False),
+        ],
+        ids=["plain", "blank_lines_crlf", "padded_ids", "hash_and_quote_in_ids",
+             "formfeed_splits_line", "underscore_digits", "nbsp_in_value",
+             "arabic_indic_digits", "unit_separator_in_value", "mixed_sample_ids",
+             "one_row", "nan", "numerically_equal_ids"],
+    )
+    def test_matches_row_loop(self, tmp_path, monkeypatch, body, fast):
+        path = tmp_path / "data.csv"
+        path.write_bytes((HEADER1 + body).encode())
+        taken = spy_fast_parse(monkeypatch)
+        got = outcome(path)
+        assert taken == [fast]
+        monkeypatch.setattr(cli, "_parse_fast", lambda *args: None)
+        assert got == outcome(path)
+
+    def test_hard_floats_keep_the_loops_bits(self, tmp_path, monkeypatch):
+        values = ["0.1000000000000000055511151231257827", "2.2250738585072011e-308",
+                  "1e-320", "-0.0", "4.9406564584124654e-324", "1.7976931348623157e308",
+                  "9007199254740993", "0.30000000000000004441"]
+        path = tmp_path / "hard.csv"
+        path.write_text(HEADER1 + "".join(f"p0,{i},{v}\n" for i, v in enumerate(values)))
+        taken = spy_fast_parse(monkeypatch)
+        got = read_dataset_csv(str(path)).values
+        assert taken == [True]
+        assert got[0, :, 0].tobytes() == np.array([float(v) for v in values]).tobytes()
+        monkeypatch.setattr(cli, "_parse_fast", lambda *args: None)
+        assert got.tobytes() == read_dataset_csv(str(path)).values.tobytes()
+
+    def test_shuffled_file_reads_back_the_array_written(self, tmp_path, monkeypatch):
+        n, m, d = 2048, 32, 4
+        rng = np.random.default_rng(12)
+        written = rng.standard_normal((n, m, d)) * 10.0 ** rng.integers(-5, 6, (n, m, d))
+        rows = [(p, s) for p in range(n) for s in range(m)]
+        order = rng.permutation(len(rows))
+        lines = ["person_id,sample_id,x1,x2,x3,x4"]
+        for r in order:
+            p, s = rows[r]
+            lines.append(f"u{p},{s}," + ",".join(map(repr, written[p, s].tolist())))
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(lines) + "\n")
+        taken = spy_fast_parse(monkeypatch)
+        got = read_dataset_csv(str(path)).values
+        assert taken == [True]
+        first_seen = list(dict.fromkeys(rows[r][0] for r in order))
+        assert got.tobytes() == written[first_seen].tobytes()
 
 
 class TestCliProcess:
@@ -219,6 +314,23 @@ class TestEstimateInProcess:
         assert rc == 2
         assert captured.out == ""
         assert "malformed estimate config" in captured.err
+
+    @pytest.mark.parametrize(
+        "estimator,flag,field",
+        [("pure_dp", "--alpha", "alpha"), ("est1d", "--range-R", "range_R"),
+         ("est1d", "--epsilon", "epsilon"), ("hd_single", "--k", "k")],
+    )
+    def test_non_finite_parameter_exit_2(self, capsys, estimator, flag, field):
+        args = {"--epsilon": "1", "--k": "4", "--alpha": "0.35", "--seed": "7"}
+        if estimator == "hd_single":
+            args["--delta"] = "1e-6"
+        args[flag] = "inf"
+        rc = main(["estimate", "--data", str(FIXTURES / "est1d_dataset.csv"),
+                   "--estimator", estimator, *(x for item in args.items() for x in item)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"{field} must be finite" in captured.err
 
     def test_overflowing_person_mean_exit_2(self, tmp_path, capsys):
         # every value is finite, but person p3's average of 4 samples overflows

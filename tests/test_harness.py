@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -10,6 +11,7 @@ from dpmean.core import (
     ConfigurationError,
     ParameterError,
     PersonDataset,
+    PersonMeans,
     PrivacyBudget,
     ProblemParams,
     SyntheticSpec,
@@ -97,6 +99,19 @@ class TestRegistry:
             harness.ESTIMATORS[name](
                 PersonDataset(values).person_means(), PrivacyBudget(2.0, delta), params, 7
             )
+
+    @pytest.mark.parametrize("field", ["k", "alpha", "range_R", "epsilon"])
+    @pytest.mark.parametrize("name", sorted(harness.ESTIMATORS))
+    def test_non_finite_parameter_rejected(self, name, field):
+        # inf passes every "> 0" check; unchecked, pure_dp stops on an empty
+        # cover at alpha = inf and hd_single releases an estimate at k = inf
+        d, delta = REGISTRY_CASES[name]
+        data = PersonMeans(np.random.default_rng(3).normal(0.3, 0.1, size=(3000, d)), 64)
+        values = {"k": 4.0, "alpha": 0.5, "beta": 0.1, "range_R": 2.0, "epsilon": 2.0}
+        values[field] = math.inf
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            budget = PrivacyBudget(values.pop("epsilon"), delta)
+            harness.ESTIMATORS[name](data, budget, ProblemParams(**values), 7)
 
 
 class TestConfigValidation:

@@ -57,19 +57,20 @@ def _parse_fast(text: str, lines: list, d: int):
     """The data rows of ``lines`` as the (n, m, d) array ``read_dataset_csv``
     returns, parsed in one ``np.loadtxt`` call; None where the row loop must
     decide instead."""
-    rows_expected = sum(1 for line in lines[1:] if line.strip())
+    # loadtxt raises on a whitespace-only line, which the loop skips as blank
+    data = [line for line in lines[1:] if line.strip()]
     # numpy strips U+001F around a number and float() does not; U+001C-1E
     # never reach a line, since splitlines() breaks on them
-    if not rows_expected or "\x1f" in text:
+    if not data or "\x1f" in text:
         return None
     try:
         rows = np.loadtxt(
-            lines, delimiter=",", skiprows=1, comments=None, quotechar=None, ndmin=1,
+            data, delimiter=",", skiprows=0, comments=None, quotechar=None, ndmin=1,
             dtype=[("person", object), ("sample", object), ("x", np.float64, (d,))],
         )
     except ValueError:
         return None
-    if len(rows) != rows_expected:
+    if len(rows) != len(data):
         return None
     people: dict = {}
     person = np.array([people.setdefault(p.strip(), len(people)) for p in rows["person"].tolist()])

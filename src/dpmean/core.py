@@ -285,6 +285,11 @@ class SyntheticSpec:
     ``mean`` is the distribution mean.  ``None`` means the family's natural
     mean: zero, except point_mass_mixture whose natural mean is
     (25/6) * alpha * v.  Any other mean translates the distribution.
+
+    ``sample_means`` draws the mean of m samples.  For point_mass_mixture it
+    is exact: the mean is shift + atom * v * Binomial(m, lambda) / m, one
+    binomial variate per mean.  The other two families draw m samples and
+    average them.
     """
 
     family: str
@@ -353,8 +358,10 @@ class SyntheticSpec:
         d = self.dim
         if self.family == "scaled_gaussian":
             sigma_k = gaussian_abs_moment(self.k) ** (1.0 / self.k)
-            x = rng.standard_normal((size, d)) / sigma_k
-            return x + self.mean_vector()
+            x = rng.standard_normal((size, d))
+            x /= sigma_k
+            x += self.mean_vector()
+            return x
         if self.family == "point_mass_mixture":
             lam, atom, v = self._pm_params()
             hits = rng.random(size) < lam
@@ -366,7 +373,18 @@ class SyntheticSpec:
         scale = student_t_abs_moment(self.k, df) ** (1.0 / self.k)
         z = rng.standard_normal((size, d))
         w = rng.chisquare(df, size)
-        return z / np.sqrt(w / df)[:, None] / scale + self.mean_vector()
+        z /= np.sqrt(w / df)[:, None]
+        z /= scale
+        z += self.mean_vector()
+        return z
+
+    def sample_means(self, rng: np.random.Generator, n: int, m: int) -> np.ndarray:
+        """Draw ``n`` i.i.d. means of ``m`` samples each, shape (n, d)."""
+        if self.family == "point_mass_mixture":
+            lam, atom, v = self._pm_params()
+            b = rng.binomial(m, lam, n)
+            return (b / m)[:, None] * (atom * v) + (self.mean_vector() - lam * atom * v)
+        return self.sample(rng, n * m).reshape(n, m, self.dim).mean(axis=1)
 
     # -- serialization ------------------------------------------------------
     def to_json(self) -> str:
@@ -444,8 +462,9 @@ BATCH_CHUNK = 1 << 22
 def sample_batch_means(spec: SyntheticSpec, m: int, trials: int, seed: Seed) -> np.ndarray:
     """``trials`` independent means of m draws, shape (trials, d).
 
-    Memory-bounded: generates at most ``BATCH_CHUNK`` scalar samples at a
-    time, one derived stream per chunk.
+    Chunked: each chunk of ``BATCH_CHUNK // (m * d)`` means comes from
+    ``spec.sample_means`` on its own derived stream, so a family that draws
+    then averages holds at most ``BATCH_CHUNK`` scalar samples at a time.
     """
     if m < 1 or trials < 1:
         raise ParameterError("need m, trials >= 1")
@@ -456,9 +475,7 @@ def sample_batch_means(spec: SyntheticSpec, m: int, trials: int, seed: Seed) -> 
     chunk_index = 0
     while start < trials:
         stop = min(trials, start + per_chunk)
-        rng = derive_rng(seed, chunk_index)
-        draws = spec.sample(rng, (stop - start) * m)
-        out[start:stop] = draws.reshape(stop - start, m, d).mean(axis=1)
+        out[start:stop] = spec.sample_means(derive_rng(seed, chunk_index), stop - start, m)
         start = stop
         chunk_index += 1
     return out

@@ -140,11 +140,15 @@ class TestFastParse:
             ("p0,7,1.25\n", True),
             ("p0,0,1.5\np0,1,nan\np1,0,3.5\np1,1,4.5\n", True),
             ("p0,1,1.5\np0,1.0,2.5\np1,0,3.5\np1,1,4.5\n", False),
+            ("p0,0,1.5\n   \np0,1,2.5\np1,0,3.5\np1,1,4.5\n", True),
+            ("p0,0,1.5\np0,1,2.5\n\t\t\r\np1,0,3.5\np1,1,4.5\n", True),
+            ("\xa0\np0,0,1.5\np0,1,2.5\np1,0,3.5\np1,1,4.5\n \t\xa0", True),
         ],
         ids=["plain", "blank_lines_crlf", "padded_ids", "hash_and_quote_in_ids",
              "formfeed_splits_line", "underscore_digits", "nbsp_in_value",
              "arabic_indic_digits", "unit_separator_in_value", "mixed_sample_ids",
-             "one_row", "nan", "numerically_equal_ids"],
+             "one_row", "nan", "numerically_equal_ids", "spaces_line", "tabs_line_crlf",
+             "nbsp_lines_first_and_last"],
     )
     def test_matches_row_loop(self, tmp_path, monkeypatch, body, fast):
         path = tmp_path / "data.csv"

@@ -235,6 +235,95 @@ class TestSampling:
         np.testing.assert_array_equal(a, b)
 
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            gaussian_spec(mean=(0.3,)),
+            gaussian_spec(mean=(0.3, -1.7, 2.5, 0.0), k=3.0),
+            SyntheticSpec("student_t", mean=tuple(0.1 * i for i in range(8)), k=4.0,
+                          extra={"df": 10.0}),
+        ],
+        ids=["gaussian_d1", "gaussian_d4", "student_t_d8"],
+    )
+    def test_batch_means_keep_draw_then_average_bits(self, monkeypatch, spec):
+        # the reference draws out of place, then averages, chunk by chunk
+        monkeypatch.setattr(core, "BATCH_CHUNK", 4096)
+        m, trials, seed, d = 16, 1000, 41, spec.dim
+        per_chunk = 4096 // (m * d)
+        parts = []
+        for chunk_index, start in enumerate(range(0, trials, per_chunk)):
+            rng = derive_rng(seed, chunk_index)
+            size = (min(trials, start + per_chunk) - start) * m
+            if spec.family == "scaled_gaussian":
+                sigma_k = gaussian_abs_moment(spec.k) ** (1.0 / spec.k)
+                x = rng.standard_normal((size, d)) / sigma_k + spec.mean_vector()
+            else:
+                df = float(spec.extra["df"])
+                scale = student_t_abs_moment(spec.k, df) ** (1.0 / spec.k)
+                z = rng.standard_normal((size, d))
+                w = rng.chisquare(df, size)
+                x = z / np.sqrt(w / df)[:, None] / scale + spec.mean_vector()
+            parts.append(x.reshape(-1, m, d).mean(axis=1))
+        assert len(parts) > 2
+        got = sample_batch_means(spec, m, trials, seed)
+        assert got.tobytes() == np.concatenate(parts).tobytes()
+
+    @pytest.mark.parametrize("m,d", [(16, 1), (64, 4)])
+    def test_point_mass_means_follow_exact_law(self, m, d):
+        v = np.ones(d) / math.sqrt(d)
+        spec = SyntheticSpec("point_mass_mixture", k=4.0, extra={"alpha": 0.02, "v": list(v)})
+        lam, atom, _ = spec._pm_params()
+        trials = 2 * (core.BATCH_CHUNK // (m * d)) + 1000  # three chunks
+        means = sample_batch_means(spec, m, trials, 31)
+        # every mean is shift + atom * v * b / m for an integer b
+        shift = spec.mean_vector() - lam * atom * v
+        b_real = (means - shift) @ v * m / atom
+        b = np.rint(b_real)
+        assert np.abs(b_real - b).max() <= 1e-12
+        assert np.abs(means - shift - (b / m)[:, None] * (atom * v)).max() <= 1e-12
+        # b ~ Binomial(m, lambda): chi-square goodness of fit, with the bins
+        # (adjacent counts merged until each expects >= 5) and the p-value
+        # threshold 1e-3 fixed by the law alone
+        expected = trials * np.array(
+            [math.comb(m, j) * lam**j * (1 - lam) ** (m - j) for j in range(m + 1)]
+        )
+        starts = chi_square_bins(expected)
+        observed = np.bincount(b.astype(np.int64), minlength=m + 1)
+        assert observed.size == m + 1 and b.min() >= 0
+        exp_bins = np.add.reduceat(expected, starts)
+        obs_bins = np.add.reduceat(observed, starts)
+        assert exp_bins.min() >= 5 and len(starts) >= 5
+        stat = float(((obs_bins - exp_bins) ** 2 / exp_bins).sum())
+        assert chi_square_sf(stat, len(starts) - 1) >= 1e-3, stat
+
+
+def chi_square_bins(expected) -> list:
+    """Start index of each bin: adjacent cells merged until the bin expects at
+    least 5 counts; a short remainder joins the last bin."""
+    starts, acc = [0], 0.0
+    for j, e in enumerate(expected[:-1]):
+        acc += e
+        if acc >= 5:
+            starts.append(j + 1)
+            acc = 0.0
+    if acc + expected[-1] < 5:
+        starts.pop()
+    return starts
+
+
+def chi_square_sf(x: float, df: int) -> float:
+    """P[chi^2_df >= x], from the power series of the lower regularised gamma
+    function P(df/2, x/2)."""
+    a, y = df / 2, x / 2
+    term = total = 1.0 / a
+    n = 0
+    while term > 1e-17 * total:
+        n += 1
+        term *= y / (a + n)
+        total += term
+    return 1.0 - math.exp(a * math.log(y) - y - math.lgamma(a)) * total
+
+
 # Moment-normalisation check of the synthetic generators, and the fixed
 # directions it takes the supremum over.
 def direction_grid(d: int) -> np.ndarray:

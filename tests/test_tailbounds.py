@@ -108,6 +108,27 @@ class TestAcceptanceGrids:
         assert grid.shape == (12,)
         assert np.all(np.diff(grid) > 0)
 
+    @pytest.mark.parametrize("k", [3.0, 4.0])
+    @pytest.mark.parametrize("m", [16, 64, 256])
+    def test_grid_clears_point_mass_lattice(self, k, m):
+        # A point-mass mean deviates by atom * (b/m - lambda), or its absolute
+        # value as a norm, for an integer b.  A grid point within rounding of
+        # such a value would let one ulp of the sampler flip its tail count.
+        close = []
+        for d in (1, 2, 4):
+            v = list(np.ones(d) / math.sqrt(d))
+            spec = SyntheticSpec("point_mass_mixture", k=k, extra={"alpha": 0.02, "v": v})
+            lam, atom, _ = spec._pm_params()
+            dev = atom * (np.arange(m + 1) / m - lam)
+            if d > 1:
+                dev = np.abs(dev)
+            for bound in ("heavytail", "berry_esseen", "highd"):
+                grid = acceptance_t_grid(bound, m, k, d)
+                gap = float((np.abs(grid[:, None] - dev[None, :]) / grid[:, None]).min())
+                if gap <= 1e-9:
+                    close.append((d, bound, gap))
+        assert not close
+
     def test_frozen_table_covers_families(self):
         for family in ("scaled_gaussian", "point_mass_mixture"):
             for bound in ("heavytail", "berry_esseen", "highd"):

@@ -316,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
         (
             "sweep",
             "run an experiment grid from a JSON config",
-            "worker threads (default: 1)",
+            "worker threads (default: 1); each extra worker keeps its own malloc arena, "
+            "about one dataset of resident memory",
         ),
         (
             "tailbench",

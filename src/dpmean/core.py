@@ -99,6 +99,12 @@ def strict_float(value) -> float:
 Seed = int
 
 
+def _seed_sequence(seed: Seed, path: tuple) -> np.random.SeedSequence:
+    if seed < 0 or seed >= 2**64:
+        raise ParameterError(f"seed must fit in uint64, got {seed}")
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
+
+
 def derive_rng(seed: Seed, *path: int) -> np.random.Generator:
     """Derive an independent generator from ``seed`` and an integer path.
 
@@ -109,10 +115,7 @@ def derive_rng(seed: Seed, *path: int) -> np.random.Generator:
     harness uses ``(grid_point_hash, trial_index)``, and Monte Carlo loops
     use ``(chunk_index,)``.
     """
-    if seed < 0 or seed >= 2**64:
-        raise ParameterError(f"seed must fit in uint64, got {seed}")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return np.random.default_rng(ss)
+    return np.random.default_rng(_seed_sequence(seed, path))
 
 
 def derive_seed(seed: Seed, *path: int) -> Seed:
@@ -121,10 +124,7 @@ def derive_seed(seed: Seed, *path: int) -> Seed:
     Used when handing seeds to sub-operations so that pipeline stages draw
     from independent streams.  Same derivation tree as ``derive_rng``.
     """
-    if seed < 0 or seed >= 2**64:
-        raise ParameterError(f"seed must fit in uint64, got {seed}")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return int(_seed_sequence(seed, path).generate_state(1, dtype=np.uint64)[0])
 
 
 def stable_hash(obj) -> int:
@@ -418,8 +418,11 @@ class EstimateReport:
 
     ``params`` holds estimator-specific scalars/vectors (rho, mu_coarse, rho1,
     rho2, u1, u2, the stage ledger, ...) and is inlined into the JSON
-    serialization.  Given the same data, budget, params and seed, every field
-    but ``wall_time_ms`` is reproduced bit for bit.
+    serialization.  Stages run on budgets that ``BudgetLedger.add`` charged,
+    and ``BudgetLedger.report`` builds the report, so epsilon and delta are
+    what was spent (``pure_dp`` composes its phases in parallel).  Given the
+    same data, budget, params and seed, every field but ``wall_time_ms`` is
+    reproduced bit for bit.
     """
 
     estimate: np.ndarray

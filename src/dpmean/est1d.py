@@ -115,44 +115,38 @@ def estimate_mean_1d(
     if data.means.shape[1] != 1:
         raise ParameterError("estimate_mean_1d is univariate (d = 1)")
     t0 = time.perf_counter()
-    estimate, ledger, fields = _estimate_column(data.means[:, 0], data.m, budget, params, seed)
-    total_eps, total_delta = ledger.total()
-    return EstimateReport(
-        estimate=np.array([estimate]),
-        epsilon=total_eps,
-        delta=total_delta,
-        seed=seed,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        params={**fields, "ledger": ledger.entries},
-    )
+    ledger = BudgetLedger()
+    estimate, fields = _estimate_column(data.means[:, 0], data.m, budget, params, seed, ledger)
+    return ledger.report(estimate, seed, t0, **fields)
 
 
 def _estimate_column(
-    means: np.ndarray, m: int, budget: PrivacyBudget, params: ProblemParams, seed: Seed
+    means: np.ndarray,
+    m: int,
+    budget: PrivacyBudget,
+    params: ProblemParams,
+    seed: Seed,
+    ledger: BudgetLedger,
 ) -> tuple:
     """The pipeline of ``estimate_mean_1d`` on one column of per-person means.
 
-    Returns (estimate, ledger, fields): the released value, the ledger of
-    both stages' charges, and the report fields of ``estimate_mean_1d``
-    other than the ledger.
+    Each stage runs on the budget that ``ledger.add`` charges for it.
+    Returns (estimate, fields): the released value and the report fields of
+    ``estimate_mean_1d`` other than the ledger.
     """
     eps_stage = budget.epsilon / 2
     r = 16 / math.sqrt(m) / 2
-    coarse_budget = PrivacyBudget(eps_stage, budget.delta)
-    lo, hi = range_estimator(means, m, coarse_budget, r, params.range_R, derive_seed(seed, 0))
+    lo, hi = range_estimator(
+        means, m, ledger.add(eps_stage, budget.delta), r, params.range_R, derive_seed(seed, 0)
+    )
     mu_coarse = (lo + hi) / 2
 
     rho = choose_rho_1d(means.shape[0], m, eps_stage, params.beta, params.k)
     u_err = 2 * r
-    fine_budget = PrivacyBudget(eps_stage, 0.0)
     estimate, scale = fine_estimate_1d(
-        means, fine_budget, mu_coarse, rho, u_err, derive_seed(seed, 1)
+        means, ledger.add(eps_stage), mu_coarse, rho, u_err, derive_seed(seed, 1)
     )
-
-    ledger = BudgetLedger()
-    ledger.add(eps_stage, budget.delta)
-    ledger.add(eps_stage, 0.0)
-    fields = {
+    return estimate, {
         "rho": rho,
         "u_err": u_err,
         "mu_coarse": mu_coarse,
@@ -161,4 +155,3 @@ def _estimate_column(
         "coarse_bucket": (lo, hi),
         "bias_bound_applicable": truncation_bias_bound(m, params.k, rho - u_err) is not None,
     }
-    return estimate, ledger, fields

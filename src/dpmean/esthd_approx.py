@@ -148,35 +148,24 @@ def _clip_rounds(
     ``groups`` holds (n_t, d) per-person means of m samples each.  Stage 0 is
     the coarse estimate of groups[0] to L2 accuracy 16 sqrt(d/m); round
     t = 1..T clips groups[t] to radii[t - 1] around the previous output and
-    adds noise.  Stage t draws from derive_seed(seed, t) and charges
-    budgets[t] to the ledger as it runs.  Returns (centers, ledger), where
-    centers[t] is stage t's output and centers[T] the release.
+    adds noise.  Stage t draws from derive_seed(seed, t) and runs on what
+    ``BudgetLedger.add`` charges for the (epsilon, delta) pair budgets[t].
+    Returns (centers, ledger), where centers[t] is stage t's output and
+    centers[T] the release; ``ledger.report`` builds the report.
     """
     ledger = BudgetLedger()
-    d = groups[0].shape[1]
+    accuracy = 16 * math.sqrt(groups[0].shape[1] / m)
     centers = [
         coarse_estimate_hd(
-            groups[0], m, budgets[0], 16 * math.sqrt(d / m), derive_seed(seed, 0), params.range_R
+            groups[0], m, ledger.add(*budgets[0]), accuracy, derive_seed(seed, 0), params.range_R
         )
     ]
-    ledger.add(budgets[0].epsilon, budgets[0].delta)
     for t, rho in enumerate(radii, start=1):
         ball = ClipBall(centers[-1], rho)
-        centers.append(clip_and_noise(groups[t], budgets[t], ball, derive_seed(seed, t)))
-        ledger.add(budgets[t].epsilon, budgets[t].delta)
+        centers.append(
+            clip_and_noise(groups[t], ledger.add(*budgets[t]), ball, derive_seed(seed, t))
+        )
     return centers, ledger
-
-
-def _report(estimate, ledger: BudgetLedger, seed: Seed, t0: float, params: dict) -> EstimateReport:
-    total_eps, total_delta = ledger.total()
-    return EstimateReport(
-        estimate=estimate,
-        epsilon=total_eps,
-        delta=total_delta,
-        seed=seed,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        params={**params, "ledger": ledger.entries},
-    )
 
 
 def estimate_single_round(
@@ -192,14 +181,10 @@ def estimate_single_round(
     t0 = time.perf_counter()
     means = data.means
     n, d = means.shape
-    stage = PrivacyBudget(budget.epsilon / 2, budget.delta / 2)
-    rho = single_round_rho(n, data.m, d, params.k, stage.epsilon, stage.delta)
-    (u1, estimate), ledger = _clip_rounds(
-        [means, means], data.m, [stage, stage], [rho], params, seed
-    )
-    return _report(
-        estimate, ledger, seed, t0, {"rho": rho, "u1": u1, "c0": DEFAULT_SINGLE_ROUND_CONSTANT}
-    )
+    stage = (budget.epsilon / 2, budget.delta / 2)
+    rho = single_round_rho(n, data.m, d, params.k, *stage)
+    (u1, estimate), ledger = _clip_rounds([means] * 2, data.m, [stage] * 2, [rho], params, seed)
+    return ledger.report(estimate, seed, t0, rho=rho, u1=u1, c0=DEFAULT_SINGLE_ROUND_CONSTANT)
 
 
 def estimate_two_round(
@@ -220,15 +205,11 @@ def estimate_two_round(
         raise ParameterError("need at least 3 people")
     rho1, rho2 = two_round_radii(n, data.m, means.shape[1], params.k, budget.epsilon, budget.delta)
     groups = [means[i * n : (i + 1) * n] for i in range(3)]
-    half = PrivacyBudget(budget.epsilon / 2, budget.delta / 2)
-    quarter = PrivacyBudget(budget.epsilon / 4, budget.delta / 4)
+    half = (budget.epsilon / 2, budget.delta / 2)
+    quarter = (budget.epsilon / 4, budget.delta / 4)
     (u1, u2, estimate), ledger = _clip_rounds(
         groups, data.m, [half, quarter, quarter], [rho1, rho2], params, seed
     )
-    return _report(
-        estimate,
-        ledger,
-        seed,
-        t0,
-        {"rho1": rho1, "rho2": rho2, "u1": u1, "u2": u2, "dropped_people": len(means) - 3 * n},
+    return ledger.report(
+        estimate, seed, t0, rho1=rho1, rho2=rho2, u1=u1, u2=u2, dropped_people=len(means) - 3 * n
     )

@@ -36,7 +36,7 @@ from .core import (
     derive_seed,
 )
 from .est1d import _estimate_column
-from .mechanisms import exponential_mechanism
+from .mechanisms import BudgetLedger, exponential_mechanism
 
 __all__ = [
     "comparison_rho",
@@ -261,12 +261,14 @@ def estimate_pure_full(
     """Full pure-DP pipeline over 2n people; ``budget`` must be pure (delta = 0).
 
     The first half of the per-person means runs the univariate pipeline per
-    coordinate (budget epsilon/d, failure beta/(2d) each) to get mu_coarse
-    with L-inf error alpha; the second half is recentred as
-    means - mu_coarse and handed to fine_est_pure.  The two
-    phases touch disjoint people, so the total budget is epsilon by parallel
-    composition.  Raises ParameterError when budget.delta > 0: the estimator
-    spends no delta, so a requested delta would be dropped rather than used.
+    coordinate (budget epsilon/d, failure beta/(2d) each), charging one
+    ledger, to get mu_coarse with L-inf error alpha; the second half is
+    recentred as means - mu_coarse and handed to fine_est_pure at epsilon.
+    The phases touch disjoint people, so by parallel composition the report
+    spends the larger phase epsilon (the ledger's total can sit an ulp above
+    epsilon) and the ledger's delta.  Raises ParameterError when
+    budget.delta > 0: the estimator spends no delta, so a requested delta
+    would be dropped rather than used.
     """
     if not budget.is_pure:
         raise ParameterError(f"pure_dp spends no delta; got delta = {budget.delta!r}, need 0")
@@ -282,11 +284,12 @@ def estimate_pure_full(
     coord_params = ProblemParams(
         k=params.k, alpha=params.alpha, beta=params.beta / (2 * d), range_R=params.range_R
     )
+    ledger = BudgetLedger()
     mu_coarse = np.empty(d)
     for j in range(d):
         try:
-            mu_coarse[j], _, _ = _estimate_column(
-                means[:half, j], data.m, coord_budget, coord_params, derive_seed(seed, 0, j)
+            mu_coarse[j], _ = _estimate_column(
+                means[:half, j], data.m, coord_budget, coord_params, derive_seed(seed, 0, j), ledger
             )
         except EstimationFailedError as exc:
             raise EstimationFailedError(f"coarse stage, coordinate {j}: {exc}") from exc
@@ -296,16 +299,18 @@ def estimate_pure_full(
         k=params.k, alpha=params.alpha, beta=params.beta / 2, range_R=params.range_R
     )
     shifted = fine_est_pure(recentered, data.m, fine_params, epsilon, derive_seed(seed, 1))
+    coarse_epsilon, delta = ledger.total()
+    phase_epsilons = [coarse_epsilon, epsilon]
     return EstimateReport(
         estimate=shifted + mu_coarse,
-        epsilon=epsilon,
-        delta=0.0,
+        epsilon=max(phase_epsilons),
+        delta=delta,
         seed=seed,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
         params={
             "mu_coarse": mu_coarse,
             "dropped_people": n - 2 * half,
             "composition": "parallel over disjoint people",
-            "phase_epsilons": [epsilon, epsilon],
+            "phase_epsilons": phase_epsilons,
         },
     )

@@ -1,6 +1,9 @@
 """Differential-privacy primitives: Laplace noise, private histograms, the
 exponential mechanism, and a composition ledger.
 
+Every estimator stage runs on the budget that ``BudgetLedger.add`` charges
+and returns, and ``BudgetLedger.report`` builds the estimate's report.
+
 Constants for the stability histogram follow the standard instantiation
 (threshold 1 + 2 ln(2/delta)/epsilon); the source guarantees are asymptotic,
 so these are our pinned choices.
@@ -9,12 +12,13 @@ so these are our pinned choices.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ParameterError, PrivacyBudget, Seed, derive_rng
+from .core import EstimateReport, ParameterError, PrivacyBudget, Seed, derive_rng
 
 __all__ = [
     "laplace_noise",
@@ -171,11 +175,21 @@ class BudgetLedger:
 
     entries: list = field(default_factory=list)
 
-    def add(self, epsilon: float, delta: float = 0.0) -> None:
-        if epsilon < 0 or delta < 0:
-            raise ParameterError("ledger entries must be nonnegative")
-        self.entries.append((float(epsilon), float(delta)))
+    def add(self, epsilon: float, delta: float = 0.0) -> PrivacyBudget:
+        """Charge (epsilon, delta) and return it as the budget a stage runs
+        on; ``PrivacyBudget`` rejects what is not a budget."""
+        budget = PrivacyBudget(float(epsilon), float(delta))
+        self.entries.append((budget.epsilon, budget.delta))
+        return budget
 
     def total(self) -> tuple:
         """Composed (epsilon, delta); (0.0, 0.0) for an empty ledger."""
         return (math.fsum(e for e, _ in self.entries), math.fsum(d for _, d in self.entries))
+
+    def report(self, estimate, seed: Seed, t0: float, **params) -> EstimateReport:
+        """Report an estimate whose stages charged this ledger: its budget is
+        ``total()``, ``params["ledger"]`` its entries, and its wall time runs
+        from ``t0``, a ``time.perf_counter()`` reading."""
+        wall_time_ms = (time.perf_counter() - t0) * 1e3
+        params["ledger"] = self.entries
+        return EstimateReport(estimate, *self.total(), seed, wall_time_ms, params)

@@ -369,6 +369,17 @@ class TestEstimatePureFull:
         nearest = cover[np.argmin(np.abs(cover[:, 0] - recentered_mu))]
         assert math.isclose(report.estimate[0], nearest[0] + mu_coarse[0], rel_tol=1e-12)
 
+    def test_reports_the_budget_its_coarse_stages_spent(self):
+        # at d = 3 the six coarse charges of 3.44 / 3 / 2 sum to one ulp
+        # above 3.44, and the report says so rather than echoing epsilon
+        data = PersonMeans(np.random.default_rng(11).normal(0.1, 0.05, size=(256, 3)), 64)
+        params = ProblemParams(k=4.0, alpha=0.5, beta=0.1, range_R=2.0)
+        report = estimate_pure_full(data, PrivacyBudget(3.44), params, 5)
+        spent = math.fsum([3.44 / 3 / 2] * 6)
+        assert spent == 3.4400000000000004
+        assert report.params["phase_epsilons"] == [spent, 3.44]
+        assert (report.epsilon, report.delta) == (spent, 0.0)
+
     def test_rejects_delta(self):
         # the estimator spends no delta, so a requested one must not be dropped silently
         data = PersonMeans(np.full((64, 1), 0.11), 64)

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import sys
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from dpmean import harness
+from dpmean import est1d, esthd_approx, harness
 from dpmean.core import (
     ConfigurationError,
     ParameterError,
@@ -112,6 +113,49 @@ class TestRegistry:
         with pytest.raises(ParameterError, match=f"{field} must be finite"):
             budget = PrivacyBudget(values.pop("epsilon"), delta)
             harness.ESTIMATORS[name](data, budget, ProblemParams(**values), 7)
+
+
+class TestStageBudgets:
+    """Every budget a stage runs on reaches the report.  The stage functions
+    are wrapped to record the budget each call gets; est1d's two stages also
+    run pure_dp's coarse pass, one pair per coordinate."""
+
+    STAGES = [
+        (est1d, "range_estimator"),
+        (est1d, "fine_estimate_1d"),
+        (esthd_approx, "coarse_estimate_hd"),
+        (esthd_approx, "clip_and_noise"),
+    ]
+    CALLS = {"est1d": 2, "hd_single": 2, "hd_two_round": 3, "pure_dp": 4}
+
+    @pytest.mark.parametrize("name", sorted(harness.ESTIMATORS))
+    def test_every_stage_budget_is_reported(self, name, monkeypatch):
+        budgets = []
+        for module, attr in self.STAGES:
+            original = getattr(module, attr)
+
+            def recorded(*args, _original=original, **kwargs):
+                bound = inspect.signature(_original).bind(*args, **kwargs)
+                budgets.append(bound.arguments["budget"])
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, attr, recorded)
+        d, delta = REGISTRY_CASES[name]
+        data = PersonMeans(np.random.default_rng(5).normal(0.3, 0.1, size=(3000, d)), 64)
+        params = ProblemParams(k=4.0, alpha=0.5, beta=0.1, range_R=2.0)
+        report = harness.ESTIMATORS[name](data, PrivacyBudget(3.44, delta), params, 7)
+
+        assert len(budgets) == self.CALLS[name]
+        pairs = [(b.epsilon, b.delta) for b in budgets]
+        spent = (math.fsum(e for e, _ in pairs), math.fsum(dl for _, dl in pairs))
+        if name == "pure_dp":
+            # the fine phase runs on disjoint people: parallel composition
+            phases = report.params["phase_epsilons"]
+            assert phases == [spent[0], 3.44]
+            assert (report.epsilon, report.delta) == (max(phases), spent[1])
+        else:
+            assert report.params["ledger"] == pairs
+            assert (report.epsilon, report.delta) == spent
 
 
 class TestConfigValidation:

@@ -216,6 +216,21 @@ class TestBudgetLedger:
     def test_empty_is_zero(self):
         assert BudgetLedger().total() == (0.0, 0.0)
 
+    def test_add_returns_the_budget_it_records(self):
+        ledger = BudgetLedger()
+        budget = ledger.add(0.25, 1e-7)
+        assert budget == PrivacyBudget(0.25, 1e-7)
+        assert ledger.entries == [(0.25, 1e-7)]
+
+    @pytest.mark.parametrize(
+        "charge", [(0.5, 1.0), (math.inf,), (0.0,)], ids=["delta_one", "eps_inf", "eps_zero"]
+    )
+    def test_refuses_a_charge_that_is_not_a_budget(self, charge):
+        ledger = BudgetLedger()
+        with pytest.raises(ParameterError):
+            ledger.add(*charge)
+        assert ledger.entries == []
+
     @given(
         st.lists(
             st.tuples(

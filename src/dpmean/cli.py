@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: estimate (one dataset file -> one report), sweep (experiment
-grid -> CSV), tailbench (tail-bound verification -> CSV), lemma-checks, and
-selftest.  Exit codes: 0 success, 2 validation/usage error, 1 runtime error.
+grid -> CSV), tailbench (tail-bound verification -> CSV) and lemma-checks.
+Exit codes: 0 success, 2 validation/usage error, 1 runtime error.
 """
 
 from __future__ import annotations
@@ -14,27 +14,21 @@ from decimal import Decimal
 
 import numpy as np
 
-from . import est1d, tailbounds
+from . import tailbounds
 from .core import (
-    ClipBall,
     ConfigurationError,
     EstimationFailedError,
     ParameterError,
     PersonDataset,
-    PersonMeans,
     PrivacyBudget,
     ProblemParams,
-    SyntheticSpec,
     config_errors,
-    sample_batch_means,
     strict_float,
     strict_int,
 )
-from .clipping import clip_ball, trunc_1d
 from .harness import ESTIMATORS, ExperimentConfig, TailbenchConfig, run_experiment, run_tailbench
-from .mechanisms import BudgetLedger, HistogramSpec, private_histogram
 
-__all__ = ["main", "read_dataset_csv", "selftest"]
+__all__ = ["main", "read_dataset_csv"]
 
 
 class DatasetFormatError(ValueError):
@@ -224,75 +218,6 @@ def _run_lemma_checks(args) -> int:
     return 0 if report.passed else 1
 
 
-def selftest(verbose: bool = True) -> int:
-    """Quick battery of the deterministic contract examples (exit-code style)."""
-    checks = []
-
-    def check(name, fn):
-        try:
-            fn()
-            checks.append((name, True, ""))
-        except Exception as exc:  # noqa: BLE001 - report, don't crash
-            checks.append((name, False, f"{type(exc).__name__}: {exc}"))
-
-    def _trunc():
-        assert trunc_1d(0.5, -1, 1) == 0.5
-        assert trunc_1d(2.0, -1, 1) == 1.0
-        assert trunc_1d(-5.0, 0, 2) == 0.0
-
-    def _clip():
-        out = clip_ball(np.array([3.0, 4.0]), ClipBall(np.zeros(2), 1.0))
-        assert np.allclose(out, [0.6, 0.8])
-        assert np.allclose(clip_ball(np.array([5.0, 5.0]), ClipBall(np.ones(2), 0.0)), [1.0, 1.0])
-
-    def _sampling():
-        spec = SyntheticSpec("scaled_gaussian", mean=(0.0,), k=4.0)
-        a = sample_batch_means(spec, 3, 2, 7)
-        b = sample_batch_means(spec, 3, 2, 7)
-        assert a.shape == (2, 1)
-        assert np.array_equal(a, b)
-
-    def _histogram():
-        spec = HistogramSpec.build(1.0, 1.0)
-        hist = private_histogram([0.1, 0.2, 1.5], spec, PrivacyBudget(1e9, 0.0), seed=3)
-        idx0 = spec.bucket_index(np.array([0.1]))[0]
-        assert round(hist.counts[idx0]) == 2
-
-    def _ledger():
-        ledger = BudgetLedger()
-        ledger.add(0.5)
-        ledger.add(0.5)
-        assert ledger.total() == (1.0, 0.0)
-        assert BudgetLedger().total() == (0.0, 0.0)
-
-    def _est1d_zero_noise():
-        spec = SyntheticSpec("scaled_gaussian", mean=(0.4,), k=4.0)
-        data = PersonMeans(sample_batch_means(spec, 100, 64, 11), 100)
-        params = ProblemParams(k=4.0, alpha=0.5, beta=0.1, range_R=2.0)
-        report = est1d.estimate_mean_1d(data, PrivacyBudget(1e8, 0.0), params, 5)
-        assert abs(report.estimate[0] - 0.4) < 0.2
-
-    def _bounds():
-        q = tailbounds.TailBoundQuery(m=100, k=3.0, t=0.5)
-        assert abs(tailbounds.bound_berry_esseen(q).value - 8e-4) < 1e-12
-        assert tailbounds.bound_markov(3.0, 2.0) == 0.125
-
-    check("trunc_1d clamps", _trunc)
-    check("clip_ball projects", _clip)
-    check("sampling deterministic", _sampling)
-    check("histogram noiseless limit", _histogram)
-    check("ledger totals", _ledger)
-    check("est1d near-noiseless recovery", _est1d_zero_noise)
-    check("bound evaluators", _bounds)
-
-    failed = [c for c in checks if not c[1]]
-    if verbose:
-        for name, ok, detail in checks:
-            print(f"[{'ok' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
-        print(f"selftest: {len(checks) - len(failed)}/{len(checks)} passed")
-    return 1 if failed else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dpmean", description="Person-level DP mean estimation toolkit"
@@ -333,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lemma = sub.add_parser("lemma-checks", help="run the lemma verification battery")
     p_lemma.add_argument("--seed", type=int)
-
-    sub.add_parser("selftest", help="run the quick deterministic self test")
     return parser
 
 
@@ -349,9 +272,7 @@ def main(argv=None) -> int:
             return _run_estimate(args)
         if args.command in _CONFIG_RUNS:
             return _run_config(args)
-        if args.command == "lemma-checks":
-            return _run_lemma_checks(args)
-        return selftest()
+        return _run_lemma_checks(args)
     except (ConfigurationError, ParameterError, DatasetFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

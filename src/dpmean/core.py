@@ -419,10 +419,10 @@ class EstimateReport:
     ``params`` holds estimator-specific scalars/vectors (rho, mu_coarse, rho1,
     rho2, u1, u2, the stage ledger, ...) and is inlined into the JSON
     serialization.  Stages run on budgets that ``BudgetLedger.add`` charged,
-    and ``BudgetLedger.report`` builds the report, so epsilon and delta are
-    what was spent (``pure_dp`` composes its phases in parallel).  Given the
-    same data, budget, params and seed, every field but ``wall_time_ms`` is
-    reproduced bit for bit.
+    and ``BudgetLedger.report`` builds every report, so epsilon and delta are
+    the ledger's grouped total: what was spent.  Given the same data, budget,
+    params and seed, every field but ``wall_time_ms`` is reproduced bit for
+    bit.
     """
 
     estimate: np.ndarray

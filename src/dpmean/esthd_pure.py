@@ -223,7 +223,7 @@ def score_candidate(
 
 
 def fine_est_pure(
-    means: np.ndarray, m: int, params: ProblemParams, epsilon: float, seed: Seed
+    means: np.ndarray, m: int, params: ProblemParams, budget: PrivacyBudget, seed: Seed
 ) -> np.ndarray:
     """Exponential-mechanism fine estimation over the global cover, on the
     (n, d) per-person means ``means`` of m samples each.
@@ -231,7 +231,8 @@ def fine_est_pure(
     Assumes the mean satisfies ||mu||_inf <= alpha (callers recenter with a
     coarse estimate first).  Each candidate is scored at target error
     8 alpha / 9 and per-comparison failure beta / (2 |cover|); the mechanism
-    samples with sensitivity 1 and budget epsilon.
+    samples with sensitivity 1 and ``budget.epsilon``, the budget a ledger
+    charged for it.
     """
     d = means.shape[1]
     if d > MAX_DIMENSION:
@@ -239,8 +240,6 @@ def fine_est_pure(
             f"d = {d} rejected: the candidate cover grows like (sqrt(d))^d "
             f"and is only tractable for d <= {MAX_DIMENSION}"
         )
-    if epsilon <= 0:
-        raise ParameterError("epsilon must be > 0")
     cover = global_cover(params.alpha, d)
     alpha_test = 8 * params.alpha / 9
     beta_test = params.beta / (2 * len(cover))
@@ -251,7 +250,9 @@ def fine_est_pure(
                 means, m, point, alpha_test, beta_test, derive_seed(seed, 1, i), params.k
             )
 
-    choice = exponential_mechanism(scored(), sensitivity=1.0, epsilon=epsilon, seed=derive_seed(seed, 2))
+    choice = exponential_mechanism(
+        scored(), sensitivity=1.0, epsilon=budget.epsilon, seed=derive_seed(seed, 2)
+    )
     return cover[choice].copy()
 
 
@@ -261,14 +262,14 @@ def estimate_pure_full(
     """Full pure-DP pipeline over 2n people; ``budget`` must be pure (delta = 0).
 
     The first half of the per-person means runs the univariate pipeline per
-    coordinate (budget epsilon/d, failure beta/(2d) each), charging one
-    ledger, to get mu_coarse with L-inf error alpha; the second half is
-    recentred as means - mu_coarse and handed to fine_est_pure at epsilon.
-    The phases touch disjoint people, so by parallel composition the report
-    spends the larger phase epsilon (the ledger's total can sit an ulp above
-    epsilon) and the ledger's delta.  Raises ParameterError when
-    budget.delta > 0: the estimator spends no delta, so a requested delta
-    would be dropped rather than used.
+    coordinate (budget epsilon/d, failure beta/(2d) each), charged to ledger
+    group 0, to get mu_coarse with L-inf error alpha; the second half is
+    recentred as means - mu_coarse and handed to fine_est_pure on epsilon,
+    charged to group 1.  The halves are disjoint people, so the ledger
+    composes the phases in parallel: the report spends the larger phase's
+    epsilon (the coarse sum can sit an ulp above epsilon).  Raises
+    ParameterError when budget.delta > 0: the estimator spends no delta, so
+    a requested delta would be dropped rather than used.
     """
     if not budget.is_pure:
         raise ParameterError(f"pure_dp spends no delta; got delta = {budget.delta!r}, need 0")
@@ -298,19 +299,9 @@ def estimate_pure_full(
     fine_params = ProblemParams(
         k=params.k, alpha=params.alpha, beta=params.beta / 2, range_R=params.range_R
     )
-    shifted = fine_est_pure(recentered, data.m, fine_params, epsilon, derive_seed(seed, 1))
-    coarse_epsilon, delta = ledger.total()
-    phase_epsilons = [coarse_epsilon, epsilon]
-    return EstimateReport(
-        estimate=shifted + mu_coarse,
-        epsilon=max(phase_epsilons),
-        delta=delta,
-        seed=seed,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        params={
-            "mu_coarse": mu_coarse,
-            "dropped_people": n - 2 * half,
-            "composition": "parallel over disjoint people",
-            "phase_epsilons": phase_epsilons,
-        },
+    shifted = fine_est_pure(
+        recentered, data.m, fine_params, ledger.add(epsilon, group=1), derive_seed(seed, 1)
+    )
+    return ledger.report(
+        shifted + mu_coarse, seed, t0, mu_coarse=mu_coarse, dropped_people=n - 2 * half
     )

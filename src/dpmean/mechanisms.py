@@ -2,7 +2,7 @@
 exponential mechanism, and a composition ledger.
 
 Every estimator stage runs on the budget that ``BudgetLedger.add`` charges
-and returns, and ``BudgetLedger.report`` builds the estimate's report.
+to the rows it reads, and ``BudgetLedger.report`` builds every report.
 
 Constants for the stability histogram follow the standard instantiation
 (threshold 1 + 2 ln(2/delta)/epsilon); the source guarantees are asymptotic,
@@ -170,21 +170,26 @@ def exponential_mechanism(
 
 @dataclass
 class BudgetLedger:
-    """Basic composition over a sequence of (epsilon_i, delta_i) charges:
-    the total sums both coordinates."""
+    """Composition over (epsilon_i, delta_i, group_i) charges, where a group
+    names the rows a stage reads: charges within a group sum (basic
+    composition), and disjoint groups compose in parallel (McSherry 2009),
+    so the total takes the largest group's epsilon and delta separately."""
 
     entries: list = field(default_factory=list)
 
-    def add(self, epsilon: float, delta: float = 0.0) -> PrivacyBudget:
-        """Charge (epsilon, delta) and return it as the budget a stage runs
-        on; ``PrivacyBudget`` rejects what is not a budget."""
+    def add(self, epsilon: float, delta: float = 0.0, group: int = 0) -> PrivacyBudget:
+        """Charge (epsilon, delta) to ``group`` and return it as the budget a
+        stage runs on; ``PrivacyBudget`` rejects what is not a budget."""
         budget = PrivacyBudget(float(epsilon), float(delta))
-        self.entries.append((budget.epsilon, budget.delta))
+        self.entries.append((budget.epsilon, budget.delta, group))
         return budget
 
     def total(self) -> tuple:
-        """Composed (epsilon, delta); (0.0, 0.0) for an empty ledger."""
-        return (math.fsum(e for e, _ in self.entries), math.fsum(d for _, d in self.entries))
+        """Composed (epsilon, delta): ``fsum`` within each group, the maximum
+        across groups; (0.0, 0.0) for an empty ledger."""
+        groups = {group for *_, group in self.entries}
+        sums = [[math.fsum(e[i] for e in self.entries if e[2] == g) for g in groups] for i in (0, 1)]
+        return (max(sums[0], default=0.0), max(sums[1], default=0.0))
 
     def report(self, estimate, seed: Seed, t0: float, **params) -> EstimateReport:
         """Report an estimate whose stages charged this ledger: its budget is

@@ -132,7 +132,9 @@ class TestA3PureDp:
         hits = 0
         for trial in range(50):
             means = sample_batch_means(spec, m, n, derive_seed(0xA3, d, trial))
-            est = esthd_pure.fine_est_pure(means, m, params, 2.0, derive_seed(0xA3F, d, trial))
+            est = esthd_pure.fine_est_pure(
+                means, m, params, PrivacyBudget(2.0), derive_seed(0xA3F, d, trial)
+            )
             hits += np.linalg.norm(est - mu) <= alpha
         ok = hits / 50 >= 0.85
         report(f"A3(d={d})", ok, f"success={hits}/50 (>=85%) at n={n}", t0, 1200)

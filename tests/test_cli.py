@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dpmean import cli
-from dpmean.cli import DatasetFormatError, main, read_dataset_csv, selftest
+from dpmean.cli import DatasetFormatError, main, read_dataset_csv
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -192,11 +192,6 @@ class TestFastParse:
 
 
 class TestCliProcess:
-    def test_selftest_exit_zero(self):
-        proc = run_cli("selftest")
-        assert proc.returncode == 0
-        assert "selftest" in proc.stdout
-
     def test_unknown_subcommand_usage_exit_2(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
@@ -452,8 +447,11 @@ class TestSweepInProcess:
         assert "all passed" in out
 
 
-def test_selftest_in_process():
-    assert selftest(verbose=False) == 0
+def test_selftest_is_an_unknown_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'selftest'" in capsys.readouterr().err
 
 
 def test_fixture_script_reproduces_fixtures(tmp_path, monkeypatch, capsys):

@@ -167,6 +167,32 @@ class TestBiasOracle:
         assert res.analytic_bound is not None, f"gap {res.gap} >= threshold {thresh}"
         assert res.bias_mc <= res.analytic_bound + 3 * res.std_error
 
+    @pytest.mark.parametrize("alpha", [5e-4, 1e-3])
+    @pytest.mark.parametrize("rho", [1.0, 1.2])
+    def test_point_mass_bias_matches_exact_law(self, alpha, rho):
+        # The grid above has zero true bias in every row.  Here one atom hit
+        # among m = 4 draws lands past rho, so the bias is 3.6e-4 to 9.9e-4,
+        # 5 to 29 se at 10^6 trials; its exact value is a sum over
+        # b ~ Binomial(m, lambda) of trunc(mean_b) - mean_b.
+        m, k = 4, 3.0
+        spec = SyntheticSpec(
+            "point_mass_mixture", mean=(0.0,), k=k, extra={"alpha": alpha, "v": [1.0]}
+        )
+        lam = 25 * alpha ** (k / (k - 1))
+        atom = 1 / (6 * alpha ** (1 / (k - 1)))
+        exact = abs(
+            math.fsum(
+                math.comb(m, b) * lam**b * (1 - lam) ** (m - b)
+                * (min(max(atom * (b / m - lam), -rho), rho) - atom * (b / m - lam))
+                for b in range(m + 1)
+            )
+        )
+        res = bias_oracle_1d(spec, m, ClipBall(spec.mean_vector(), rho), 10**6, 13)
+        assert 3.5e-4 < exact < 1e-3
+        assert res.analytic_bound is not None
+        assert exact <= res.analytic_bound
+        assert abs(res.bias_mc - exact) <= 4 * res.std_error, (res.bias_mc, exact, res.std_error)
+
     def test_trials_floor(self):
         with pytest.raises(ParameterError):
             bias_oracle_1d(gaussian(), 4, ClipBall(np.array([0.0]), 1.0), 10, 3)

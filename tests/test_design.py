@@ -1,0 +1,35 @@
+"""Design ratchets: counts that a simplification must not raise.
+
+The knob count is the number of settings a caller can pass without being
+made to: the defaulted parameters of the functions in each ``dpmean``
+module's ``__all__``, plus the fields of the dataclasses in it (methods are
+not counted).  A change that needs a new knob raises ``MAX_KNOBS`` in its
+own diff and says why.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
+import dpmean
+
+MAX_KNOBS = 70
+
+
+def knob_count() -> int:
+    count = 0
+    for info in pkgutil.iter_modules(dpmean.__path__):
+        module = importlib.import_module(f"dpmean.{info.name}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if dataclasses.is_dataclass(obj):
+                count += len(dataclasses.fields(obj))
+            elif inspect.isfunction(obj):
+                params = inspect.signature(obj).parameters.values()
+                count += sum(p.default is not p.empty for p in params)
+    return count
+
+
+def test_knob_count_does_not_grow():
+    assert knob_count() <= MAX_KNOBS

@@ -173,7 +173,7 @@ class TestEstimateMean1d:
         data = constant_dataset(0.3, 1024, 100)
         report = estimate_mean_1d(data, PrivacyBudget(1.0, 0.0), PARAMS, 9)
         entries = report.params["ledger"]
-        assert entries == [(0.5, 0.0), (0.5, 0.0)]
+        assert entries == [(0.5, 0.0, 0), (0.5, 0.0, 0)]
         assert report.epsilon == 1.0
         assert report.delta == 0.0
 

@@ -209,7 +209,7 @@ class TestTwoRound:
         report = estimate_two_round(data, BUDGET, PARAMS4, 11)
         assert report.params["rho1"] >= report.params["rho2"]
         assert (report.epsilon, report.delta) == (1.0, 1e-6)
-        assert report.params["ledger"] == [(0.5, 5e-7), (0.25, 2.5e-7), (0.25, 2.5e-7)]
+        assert report.params["ledger"] == [(0.5, 5e-7, 0), (0.25, 2.5e-7, 0), (0.25, 2.5e-7, 0)]
 
     def test_zero_variance_noiseless_recovery(self):
         data = constant_dataset([0.3, -0.2, 0.1, 0.0], 3000, 100)

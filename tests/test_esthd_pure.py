@@ -324,15 +324,15 @@ class TestFineEstPure:
         # must still be deterministic per seed
         data = PersonMeans(np.zeros((512, 1)), 16)
         params = ProblemParams(k=4.0, alpha=0.25, beta=0.1, range_R=2.0)
-        a = fine_est_pure(data.means, data.m, params, 2.0, 3)
-        b = fine_est_pure(data.means, data.m, params, 2.0, 3)
+        a = fine_est_pure(data.means, data.m, params, PrivacyBudget(2.0), 3)
+        b = fine_est_pure(data.means, data.m, params, PrivacyBudget(2.0), 3)
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_high_dimension(self):
         data = PersonMeans(np.zeros((32, 5)), 4)
         params = ProblemParams(k=4.0, alpha=0.25, beta=0.1, range_R=2.0)
         with pytest.raises(ConfigurationError, match="cover"):
-            fine_est_pure(data.means, data.m, params, 2.0, 3)
+            fine_est_pure(data.means, data.m, params, PrivacyBudget(2.0), 3)
 
     def test_d1_recovers_near_cover_point(self):
         params = ProblemParams(k=4.0, alpha=0.25, beta=0.1, range_R=2.0)
@@ -340,7 +340,9 @@ class TestFineEstPure:
         hits = 0
         for trial in range(10):
             data = draw(gauss(mu), 2**13, 64, derive_seed(200, trial))
-            est = fine_est_pure(data.means, data.m, params, 2.0, derive_seed(201, trial))
+            est = fine_est_pure(
+                data.means, data.m, params, PrivacyBudget(2.0), derive_seed(201, trial)
+            )
             hits += np.linalg.norm(est - mu) <= 0.25
         assert hits >= 9
 
@@ -352,10 +354,10 @@ class TestEstimatePureFull:
         params = ProblemParams(k=4.0, alpha=0.25, beta=0.1, range_R=2.0)
         report = estimate_pure_full(data, PrivacyBudget(2.0), params, 5)
         # coarse phase localizes mu, fine phase picks the nearest cover point
-        # after recentering; the report tracks the parallel composition
+        # after recentering; the ledger composes the two phases in parallel
         assert report.delta == 0.0
         assert report.epsilon == 2.0
-        assert report.params["composition"] == "parallel over disjoint people"
+        assert report.params["ledger"] == [(1.0, 0.0, 0), (1.0, 0.0, 0), (2.0, 0.0, 1)]
         assert np.linalg.norm(report.estimate - mu) <= 0.25 + report.params["mu_coarse"].size * 0.0
 
     def test_winning_point_is_nearest_grid_point(self):
@@ -377,7 +379,7 @@ class TestEstimatePureFull:
         report = estimate_pure_full(data, PrivacyBudget(3.44), params, 5)
         spent = math.fsum([3.44 / 3 / 2] * 6)
         assert spent == 3.4400000000000004
-        assert report.params["phase_epsilons"] == [spent, 3.44]
+        assert report.params["ledger"] == [(3.44 / 3 / 2, 0.0, 0)] * 6 + [(3.44, 0.0, 1)]
         assert (report.epsilon, report.delta) == (spent, 0.0)
 
     def test_rejects_delta(self):

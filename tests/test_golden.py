@@ -46,7 +46,7 @@ PINNED = {
         'params.noise_scale': '0.018924401440031227',
         'params.constant_c': '4.0',
         'params.coarse_bucket': '(0.0, 1.5999999999999996)',
-        'params.ledger': '[(1.0, 0.0), (1.0, 0.0)]',
+        'params.ledger': '[(1.0, 0.0, 0), (1.0, 0.0, 0)]',
         'params.bias_bound_applicable': 'False',
     },
     'hd_single': {
@@ -57,7 +57,7 @@ PINNED = {
         'params.rho': '3.848883983845373',
         'params.u1': '[0.7999999999999998, 0.7999999999999998]',
         'params.c0': '4.0',
-        'params.ledger': '[(1.0, 5e-07), (1.0, 5e-07)]',
+        'params.ledger': '[(1.0, 5e-07, 0), (1.0, 5e-07, 0)]',
     },
     'hd_two_round': {
         'estimate': '[0.28522814592063833, 0.2810589258898318]',
@@ -69,7 +69,7 @@ PINNED = {
         'params.u1': '[0.7999999999999998, 0.7999999999999998]',
         'params.u2': '[0.4771753459594193, 0.5333821960904533]',
         'params.dropped_people': '0',
-        'params.ledger': '[(1.0, 5e-07), (0.5, 2.5e-07), (0.5, 2.5e-07)]',
+        'params.ledger': '[(1.0, 5e-07, 0), (0.5, 2.5e-07, 0), (0.5, 2.5e-07, 0)]',
     },
     'pure_dp': {
         'estimate': '[0.24884762866049212, 0.3105658689272196]',
@@ -78,8 +78,8 @@ PINNED = {
         'seed': '20240530',
         'params.mu_coarse': '[0.24884762866049212, 0.3105658689272196]',
         'params.dropped_people': '0',
-        'params.composition': "'parallel over disjoint people'",
-        'params.phase_epsilons': '[2.0, 2.0]',
+        'params.ledger': '[(0.5, 0.0, 0), (0.5, 0.0, 0), (0.5, 0.0, 0), (0.5, 0.0, 0), '
+        '(2.0, 0.0, 1)]',
     },
 }
 

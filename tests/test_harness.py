@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from dpmean import est1d, esthd_approx, harness
+from dpmean import est1d, esthd_approx, esthd_pure, harness
 from dpmean.core import (
     ConfigurationError,
     ParameterError,
@@ -118,15 +118,17 @@ class TestRegistry:
 class TestStageBudgets:
     """Every budget a stage runs on reaches the report.  The stage functions
     are wrapped to record the budget each call gets; est1d's two stages also
-    run pure_dp's coarse pass, one pair per coordinate."""
+    run pure_dp's coarse pass, one pair per coordinate, and pure_dp's fine
+    phase runs on disjoint people, a ledger group of its own."""
 
     STAGES = [
         (est1d, "range_estimator"),
         (est1d, "fine_estimate_1d"),
         (esthd_approx, "coarse_estimate_hd"),
         (esthd_approx, "clip_and_noise"),
+        (esthd_pure, "fine_est_pure"),
     ]
-    CALLS = {"est1d": 2, "hd_single": 2, "hd_two_round": 3, "pure_dp": 4}
+    CALLS = {"est1d": 2, "hd_single": 2, "hd_two_round": 3, "pure_dp": 5}
 
     @pytest.mark.parametrize("name", sorted(harness.ESTIMATORS))
     def test_every_stage_budget_is_reported(self, name, monkeypatch):
@@ -146,16 +148,14 @@ class TestStageBudgets:
         report = harness.ESTIMATORS[name](data, PrivacyBudget(3.44, delta), params, 7)
 
         assert len(budgets) == self.CALLS[name]
-        pairs = [(b.epsilon, b.delta) for b in budgets]
-        spent = (math.fsum(e for e, _ in pairs), math.fsum(dl for _, dl in pairs))
-        if name == "pure_dp":
-            # the fine phase runs on disjoint people: parallel composition
-            phases = report.params["phase_epsilons"]
-            assert phases == [spent[0], 3.44]
-            assert (report.epsilon, report.delta) == (max(phases), spent[1])
-        else:
-            assert report.params["ledger"] == pairs
-            assert (report.epsilon, report.delta) == spent
+        groups = [0] * 2 * d + [1] if name == "pure_dp" else [0] * len(budgets)
+        entries = [(b.epsilon, b.delta, g) for b, g in zip(budgets, groups)]
+        assert report.params["ledger"] == entries
+        # basic composition within a group, parallel composition across groups
+        per_group = [
+            [math.fsum(e[i] for e in entries if e[2] == g) for i in (0, 1)] for g in set(groups)
+        ]
+        assert [report.epsilon, report.delta] == [max(col) for col in zip(*per_group)]
 
 
 class TestConfigValidation:

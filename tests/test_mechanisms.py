@@ -220,7 +220,7 @@ class TestBudgetLedger:
         ledger = BudgetLedger()
         budget = ledger.add(0.25, 1e-7)
         assert budget == PrivacyBudget(0.25, 1e-7)
-        assert ledger.entries == [(0.25, 1e-7)]
+        assert ledger.entries == [(0.25, 1e-7, 0)]
 
     @pytest.mark.parametrize(
         "charge", [(0.5, 1.0), (math.inf,), (0.0,)], ids=["delta_one", "eps_inf", "eps_zero"]
@@ -231,10 +231,30 @@ class TestBudgetLedger:
             ledger.add(*charge)
         assert ledger.entries == []
 
+    def test_charges_within_a_group_sum(self):
+        ledger = BudgetLedger()
+        for _ in range(10):
+            ledger.add(0.1, 1e-8, group=3)
+        assert ledger.total() == (math.fsum([0.1] * 10), math.fsum([1e-8] * 10))
+        assert ledger.total() == (1.0, 1e-7)
+
+    def test_groups_compose_by_maximum(self):
+        # disjoint groups compose in parallel, epsilon and delta separately:
+        # group 0 has the larger delta, group 1 the larger epsilon
+        ledger = BudgetLedger()
+        ledger.add(0.5, 1e-7, group=0)
+        ledger.add(0.5, 1e-7, group=0)
+        ledger.add(0.8, 0.0, group=1)
+        assert ledger.total() == (1.0, 2e-7)
+        ledger.add(0.3, 0.0, group=1)
+        assert ledger.total() == (1.1, 2e-7)
+
     @given(
         st.lists(
             st.tuples(
-                st.floats(0.01, 10, allow_nan=False), st.floats(0, 0.1, allow_nan=False)
+                st.floats(0.01, 10, allow_nan=False),
+                st.floats(0, 0.1, allow_nan=False),
+                st.integers(0, 3),
             ),
             min_size=1,
             max_size=20,
@@ -244,13 +264,15 @@ class TestBudgetLedger:
     @settings(max_examples=50, deadline=None)
     def test_basic_total_order_invariant(self, entries, rand):
         ledger = BudgetLedger()
-        for eps, delta in entries:
-            ledger.add(eps, delta)
+        for eps, delta, group in entries:
+            ledger.add(eps, delta, group)
         shuffled = entries[:]
         rand.shuffle(shuffled)
         other = BudgetLedger()
-        for eps, delta in shuffled:
-            other.add(eps, delta)
+        for eps, delta, group in shuffled:
+            other.add(eps, delta, group=group)
         a, b = ledger.total(), other.total()
-        assert math.isclose(a[0], b[0], rel_tol=1e-12)
-        assert math.isclose(a[1], b[1], rel_tol=1e-12, abs_tol=1e-15)
+        assert a == b  # fsum is exactly rounded, so order cannot move a bit
+        groups = {g for *_, g in entries}
+        assert a[0] == max(math.fsum(e for e, _, g in entries if g == h) for h in groups)
+        assert a[1] == max(math.fsum(dl for _, dl, g in entries if g == h) for h in groups)

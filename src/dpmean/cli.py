@@ -242,12 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
             "sweep",
             "run an experiment grid from a JSON config",
             "worker threads (default: 1); each extra worker keeps its own malloc arena, "
-            "about one dataset of resident memory",
+            "up to one 32 MiB student_t sampling chunk of resident memory",
         ),
         (
             "tailbench",
             "run tail-bound verification from a JSON config",
-            "accepted and ignored: tailbench runs serially",
+            "worker threads that draw each Monte Carlo batch (default: 1); "
+            "the output does not depend on the count",
         ),
     ):
         p = sub.add_parser(name, help=help_text)

@@ -4,13 +4,16 @@ Estimators read a person only through their average: their one input is a
 ``PersonMeans``, the (n, d) per-person means of m samples each, whose row
 slices and column views each entry point hands to its stages.
 ``PersonDataset`` (n x m x d raw samples) is for ingest only, and
-``sample_batch_means`` is the one sampler.  Budgets are ``PrivacyBudget``s
-and synthetic distributions ``SyntheticSpec``s.  All randomness flows
-through ``derive_rng`` so that any operation is bit-reproducible given
-(inputs, seed).  A JSON config that does not parse, or holds a field of the
-wrong type, is a ``ConfigurationError`` (see ``config_errors``).  That the
-generators are normalised (k-th moment 1 in every direction) is checked in
-the tests, not here.
+``sample_batch_means`` is the one sampler.  It draws in chunks, each on its
+own stream and on any of its ``threads`` workers, so the thread count never
+changes a bit; a Gaussian chunk is drawn in cache-sized blocks, a Student-t
+chunk whole, and a point-mass chunk as one binomial per mean.  Budgets are
+``PrivacyBudget``s and synthetic distributions ``SyntheticSpec``s.  All
+randomness flows through ``derive_rng`` so that any operation is
+bit-reproducible given (inputs, seed).  A JSON config that does not parse,
+or holds a field of the wrong type, is a ``ConfigurationError`` (see
+``config_errors``).  That the generators are normalised (k-th moment 1 in
+every direction) is checked in the tests, not here.
 """
 
 from __future__ import annotations
@@ -265,6 +268,10 @@ class ClipBall:
 
 _FAMILIES = ("scaled_gaussian", "point_mass_mixture", "student_t")
 
+# Scalar samples per block of a scaled_gaussian ``sample_means`` (512 KiB),
+# so a block stays in cache.
+GAUSSIAN_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -289,7 +296,12 @@ class SyntheticSpec:
     ``sample_means`` draws the mean of m samples.  For point_mass_mixture it
     is exact: the mean is shift + atom * v * Binomial(m, lambda) / m, one
     binomial variate per mean.  The other two families draw m samples and
-    average them.
+    average them.  scaled_gaussian does so in row blocks of about
+    ``GAUSSIAN_BLOCK`` scalars, one block after another from the same
+    generator; consecutive ``standard_normal`` calls continue one stream, so
+    the bits are those of a single draw.  student_t draws all its samples at
+    once, because its chi-square variates follow all of its normals in the
+    stream.
     """
 
     family: str
@@ -384,7 +396,15 @@ class SyntheticSpec:
             lam, atom, v = self._pm_params()
             b = rng.binomial(m, lam, n)
             return (b / m)[:, None] * (atom * v) + (self.mean_vector() - lam * atom * v)
-        return self.sample(rng, n * m).reshape(n, m, self.dim).mean(axis=1)
+        d = self.dim
+        if self.family == "student_t":
+            return self.sample(rng, n * m).reshape(n, m, d).mean(axis=1)
+        out = np.empty((n, d))
+        rows = max(1, GAUSSIAN_BLOCK // (m * d))
+        for start in range(0, n, rows):
+            stop = min(n, start + rows)
+            out[start:stop] = self.sample(rng, (stop - start) * m).reshape(-1, m, d).mean(axis=1)
+        return out
 
     # -- serialization ------------------------------------------------------
     def to_json(self) -> str:
@@ -458,27 +478,49 @@ class EstimateReport:
 # Sampling operations
 # ---------------------------------------------------------------------------
 
-# Most scalar samples ``sample_batch_means`` holds at once.
+# Scalar samples per chunk of ``sample_batch_means``.  The chunks fix the
+# streams, so a change to it changes every batch.
 BATCH_CHUNK = 1 << 22
 
 
-def sample_batch_means(spec: SyntheticSpec, m: int, trials: int, seed: Seed) -> np.ndarray:
+def sample_batch_means(
+    spec: SyntheticSpec, m: int, trials: int, seed: Seed, threads: int = 1
+) -> np.ndarray:
     """``trials`` independent means of m draws, shape (trials, d).
 
     Chunked: each chunk of ``BATCH_CHUNK // (m * d)`` means comes from
-    ``spec.sample_means`` on its own derived stream, so a family that draws
-    then averages holds at most ``BATCH_CHUNK`` scalar samples at a time.
+    ``spec.sample_means`` on its own ``derive_rng(seed, chunk_index)`` stream
+    and fills only its own rows.  A scaled_gaussian chunk holds one block of
+    about ``GAUSSIAN_BLOCK`` samples at a time, a student_t chunk all of its
+    m * d samples per mean (at most ``BATCH_CHUNK``), and a point_mass_mixture
+    chunk one binomial per mean.  ``threads`` workers (at least 1) draw the
+    chunks; one worker draws them in the caller, in order.  The thread count
+    never changes a bit of the result.
     """
     if m < 1 or trials < 1:
         raise ParameterError("need m, trials >= 1")
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
     d = spec.dim
     out = np.empty((trials, d))
     per_chunk = max(1, BATCH_CHUNK // (m * d))
-    start = 0
-    chunk_index = 0
-    while start < trials:
+    chunks = range(-(-trials // per_chunk))
+
+    def draw(chunk_index: int) -> None:
+        start = chunk_index * per_chunk
         stop = min(trials, start + per_chunk)
         out[start:stop] = spec.sample_means(derive_rng(seed, chunk_index), stop - start, m)
-        start = stop
-        chunk_index += 1
+
+    if threads == 1 or len(chunks) == 1:
+        for chunk_index in chunks:
+            draw(chunk_index)
+    else:
+        # Imported here: loading it costs every program that never asks for threads.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(min(threads, len(chunks))) as pool:
+            # Reading every result re-raises the first failure, and leaving
+            # the map cancels the chunks not yet started.
+            for _ in pool.map(draw, chunks):
+                pass
     return out

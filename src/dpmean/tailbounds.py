@@ -189,17 +189,20 @@ def _wilson_halfwidth(count: int, n: int, z: float = 1.0) -> float:
     return z / (n + z * z) * math.sqrt(count * (n - count) / n + z * z / 4)
 
 
-def mc_tail(spec: SyntheticSpec, m: int, t_grid, trials: int, seed: Seed) -> list:
+def mc_tail(
+    spec: SyntheticSpec, m: int, t_grid, trials: int, seed: Seed, threads: int = 1
+) -> list:
     """Empirical tail probabilities of the m-sample average at each t.
 
     A univariate spec measures the one-sided P[mean - mu >= t] (the
     univariate theorems' form), a multivariate one P[||mean - mu||_2 >= t]
     (the high-dimensional theorem's).  Std errors are Wilson-interval
-    (z = 1) half-widths.
+    (z = 1) half-widths.  ``threads`` workers draw the batch
+    (``sample_batch_means``); the counts do not depend on it.
     """
     if trials < 100_000:
         raise ParameterError(f"need trials >= 1e5, got {trials}")
-    dev = sample_batch_means(spec, m, trials, seed) - spec.mean_vector()
+    dev = sample_batch_means(spec, m, trials, seed, threads) - spec.mean_vector()
     stat = dev[:, 0] if spec.dim == 1 else np.linalg.norm(dev, axis=1)
     out = []
     for t in np.atleast_1d(t_grid):

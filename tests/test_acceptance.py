@@ -176,7 +176,7 @@ class TestA4TailDomination:
                     spec = self.family_spec(family, k, 1)
                     grid = tailbounds.acceptance_t_grid(bound_name, m, k, 1)
                     seed = derive_seed(0xA41, stable_hash([family, bound_name, k, m]))
-                    for pt in tailbounds.mc_tail(spec, m, grid, 10**6, seed):
+                    for pt in tailbounds.mc_tail(spec, m, grid, 10**6, seed, threads=2):
                         total += 1
                         q = tailbounds.TailBoundQuery(m=m, k=k, t=pt.t, d=1, constant=c_cal)
                         if pt.empirical + 3 * pt.std_error > evaluator(q).value:
@@ -198,7 +198,7 @@ class TestA4TailDomination:
                     spec = self.family_spec(family, k, d)
                     grid = tailbounds.acceptance_t_grid("highd", m, k, d)
                     seed = derive_seed(0xA42, stable_hash([family, k, m, d]))
-                    for pt in tailbounds.mc_tail(spec, m, grid, 10**6, seed):
+                    for pt in tailbounds.mc_tail(spec, m, grid, 10**6, seed, threads=2):
                         total += 1
                         q = tailbounds.TailBoundQuery(m=m, k=k, t=pt.t, d=d, constant=c_cal)
                         if pt.empirical + 3 * pt.std_error > tailbounds.bound_highd(q).value:

@@ -412,6 +412,22 @@ class TestSweepInProcess:
         assert "threads must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_tailbench_threads_below_one_exit_2(self, tmp_path, capsys):
+        cfg = {
+            "specs": [{"family": "scaled_gaussian", "mean": [0.0], "k": 4.0, "extra": {}}],
+            "m": [16],
+            "bounds": ["berry_esseen"],
+            "trials": 100_000,
+            "seed": 3,
+            "output_path": str(tmp_path / "tail.csv"),
+        }
+        cfg_path = tmp_path / "tail.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["tailbench", "--config", str(cfg_path), "--threads", "0"])
+        assert rc == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "tail.csv").exists()
+
     def test_sweep_config_not_json_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{not json")

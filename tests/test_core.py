@@ -2,6 +2,9 @@ import importlib
 import json
 import math
 import pkgutil
+import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +222,8 @@ class TestSampling:
             sample_batch_means(gaussian_spec(), 3, 0, 7)
         with pytest.raises(ParameterError):
             sample_batch_means(gaussian_spec(), 0, 2, 7)
+        with pytest.raises(ParameterError, match="threads must be >= 1"):
+            sample_batch_means(gaussian_spec(), 3, 2, 7, threads=0)
 
     def test_batch_means_match_dataset_means_statistically(self):
         spec = gaussian_spec(k=3.0)
@@ -236,20 +241,34 @@ class TestSampling:
 
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec,block",
         [
-            gaussian_spec(mean=(0.3,)),
-            gaussian_spec(mean=(0.3, -1.7, 2.5, 0.0), k=3.0),
-            SyntheticSpec("student_t", mean=tuple(0.1 * i for i in range(8)), k=4.0,
-                          extra={"df": 10.0}),
+            (gaussian_spec(mean=(0.3,)), None),
+            (gaussian_spec(mean=(0.3, -1.7, 2.5, 0.0), k=3.0), None),
+            (
+                SyntheticSpec("student_t", mean=tuple(0.1 * i for i in range(8)), k=4.0,
+                              extra={"df": 10.0}),
+                None,
+            ),
+            # 5 rows a block: a 256-row chunk is 51 blocks and then a 1-row block
+            (gaussian_spec(mean=(0.3,)), 80),
+            # m * d = 128 exceeds the block: one row a block
+            (gaussian_spec(mean=tuple(0.1 * i for i in range(8))), 64),
         ],
-        ids=["gaussian_d1", "gaussian_d4", "student_t_d8"],
+        ids=["gaussian_d1", "gaussian_d4", "student_t_d8", "gaussian_1_row_tail_block",
+             "gaussian_row_per_block"],
     )
-    def test_batch_means_keep_draw_then_average_bits(self, monkeypatch, spec):
+    def test_batch_means_keep_draw_then_average_bits(self, monkeypatch, spec, block):
         # the reference draws out of place, then averages, chunk by chunk
         monkeypatch.setattr(core, "BATCH_CHUNK", 4096)
+        if block is not None:
+            monkeypatch.setattr(core, "GAUSSIAN_BLOCK", block)
         m, trials, seed, d = 16, 1000, 41, spec.dim
         per_chunk = 4096 // (m * d)
+        if block is not None:
+            rows = max(1, block // (m * d))
+            assert per_chunk // rows > 1  # a chunk spans several blocks
+            assert rows == 1 or per_chunk % rows == 1  # and ends in a 1-row block
         parts = []
         for chunk_index, start in enumerate(range(0, trials, per_chunk)):
             rng = derive_rng(seed, chunk_index)
@@ -267,6 +286,60 @@ class TestSampling:
         assert len(parts) > 2
         got = sample_batch_means(spec, m, trials, seed)
         assert got.tobytes() == np.concatenate(parts).tobytes()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            gaussian_spec(mean=(0.3, -1.7)),
+            SyntheticSpec("student_t", mean=(0.1, 0.2, 0.3), k=4.0, extra={"df": 10.0}),
+            SyntheticSpec("point_mass_mixture", k=4.0, extra={"alpha": 0.02, "v": [0.6, 0.8]}),
+        ],
+        ids=["gaussian", "student_t", "point_mass_mixture"],
+    )
+    def test_batch_means_bits_do_not_depend_on_threads(self, monkeypatch, spec):
+        monkeypatch.setattr(core, "BATCH_CHUNK", 512)
+        m, trials = 8, 1000  # 512 // (8 * d) means a chunk: 16 to 63 chunks
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [sample_batch_means(spec, m, trials, 17, threads=t).tobytes()
+                   for t in (1, 2, 3, 8)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got[0] == got[1] == got[2] == got[3]
+
+    def test_batch_means_failure_on_a_worker_propagates(self, monkeypatch):
+        monkeypatch.setattr(core, "BATCH_CHUNK", 512)
+        calls = []
+
+        def failing(self, rng, n, m):
+            calls.append(n)
+            time.sleep(0.01)  # lets the caller see the failure while chunks remain
+            raise ParameterError("bad chunk")
+
+        monkeypatch.setattr(SyntheticSpec, "sample_means", failing)
+        with pytest.raises(ParameterError, match="bad chunk"):
+            sample_batch_means(gaussian_spec(), 8, 10_000, 3, threads=2)
+        assert len(calls) < 157 // 2  # of 157 chunks of 64 means
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_gaussian_batch_memory_is_bounded_by_blocks(self, threads):
+        # numpy reports its buffers to tracemalloc.  Besides the output, each
+        # worker holds one chunk of means and at most two blocks of samples,
+        # never the chunk's BATCH_CHUNK samples (32 MiB).
+        spec = gaussian_spec(mean=(0.0,) * 4)
+        m, trials, d = 64, 100_000, 4
+        per_chunk = core.BATCH_CHUNK // (m * d)
+        # a first call starts the threads and loads what they import
+        sample_batch_means(spec, m, 2 * per_chunk, 5, threads)
+        tracemalloc.start()
+        try:
+            out = sample_batch_means(spec, m, trials, 7, threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = out.nbytes + threads * 8 * (per_chunk * d + 2 * core.GAUSSIAN_BLOCK)
+        assert peak <= bound, (peak / 2**20, bound / 2**20)
 
     @pytest.mark.parametrize("m,d", [(16, 1), (64, 4)])
     def test_point_mass_means_follow_exact_law(self, m, d):

@@ -150,9 +150,9 @@ TAILBENCH_PINNED = [
 ]
 
 
-def test_tailbench_rows_pinned(tmp_path):
+def pinned_tailbench_config(tmp_path) -> TailbenchConfig:
     specs = [SyntheticSpec("scaled_gaussian", mean=(0.0,) * d, k=4.0) for d in (1, 4)]
-    cfg = TailbenchConfig(
+    return TailbenchConfig(
         specs=specs,
         m=[16],
         bounds=["heavytail", "berry_esseen", "highd"],
@@ -161,5 +161,14 @@ def test_tailbench_rows_pinned(tmp_path):
         output_path=str(tmp_path / "tail.csv"),
         grid_points_per_window=2,
     )
-    run_tailbench(cfg)
+
+
+def test_tailbench_rows_pinned(tmp_path):
+    run_tailbench(pinned_tailbench_config(tmp_path))
+    assert (tmp_path / "tail.csv").read_text().splitlines() == TAILBENCH_PINNED
+
+
+def test_tailbench_rows_pinned_on_two_threads(tmp_path):
+    # the d = 4 batch is two chunks, so both workers draw
+    run_tailbench(pinned_tailbench_config(tmp_path), threads=2)
     assert (tmp_path / "tail.csv").read_text().splitlines() == TAILBENCH_PINNED

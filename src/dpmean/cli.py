@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 validation/usage error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from decimal import Decimal
@@ -203,10 +204,11 @@ def _run_config(args) -> int:
     config_class, runner = _CONFIG_RUNS[args.command]
     with open(args.config) as fh:
         config = config_class.from_json(fh.read())
+    # replace() validates the overridden config again
     if args.seed is not None:
-        config.seed = args.seed
+        config = dataclasses.replace(config, seed=args.seed)
     if args.out:
-        config.output_path = args.out
+        config = dataclasses.replace(config, output_path=args.out)
     path = runner(config, threads=args.threads)
     print(f"wrote {path}")
     return 0

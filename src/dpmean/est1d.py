@@ -4,8 +4,9 @@ estimation followed by truncate-and-noise fine estimation.
 The stages read a column of per-person means, shape (n,), each the average
 of m samples; ``estimate_mean_1d`` takes it from its ``PersonMeans``.  Each
 stage returns the values it releases: ``range_estimator`` the winning
-bucket (lo, hi), whose midpoint is mu_coarse, and ``fine_estimate_1d`` the
-estimate and its Laplace scale.
+bucket (lo, hi), whose midpoint is mu_coarse, read from the edges, noisy
+counts and release mask of ``mechanisms.private_histogram``; and
+``fine_estimate_1d`` the estimate and its Laplace scale.
 
 Convention used throughout: a coarse run with bucket width r guarantees
 |mu_coarse - mu| < 2r, so a caller wanting coarse accuracy u picks width
@@ -30,7 +31,7 @@ from .core import (
     derive_seed,
 )
 from .clipping import trunc_1d, truncation_bias_bound
-from .mechanisms import BudgetLedger, HistogramSpec, laplace_noise, private_histogram
+from .mechanisms import BudgetLedger, laplace_noise, private_histogram
 
 __all__ = [
     "range_estimator",
@@ -52,9 +53,12 @@ def range_estimator(
     each) over width-r buckets and return the heaviest released bucket
     (lo, hi); its midpoint is within 2r of the mean.
 
-    budget.delta selects the histogram variant (pure vs stability).  Ties go
-    to the bucket with the smaller left endpoint.  Requires r < R and
-    sqrt(m) * r >= 2 (the theory's n_0 degenerates as sqrt(m) * r -> 1).
+    Reads the three values ``private_histogram(means, r, R, ...)`` returns:
+    the bucket with the largest noisy count among the released ones wins,
+    and its two edges are the result.  budget.delta selects the histogram
+    variant (pure vs stability).  Ties go to the bucket with the smaller
+    left endpoint.  Requires r < R and sqrt(m) * r >= 2 (the theory's n_0
+    degenerates as sqrt(m) * r -> 1).
     """
     if means.ndim != 1:
         raise ParameterError("range_estimator is univariate: means must have shape (n,)")
@@ -64,13 +68,12 @@ def range_estimator(
         raise ParameterError(
             f"need sqrt(m) * r >= 2 for a meaningful coarse step, got {math.sqrt(m) * r:.3f}"
         )
-    spec = HistogramSpec.build(r, R)
-    hist = private_histogram(means, spec, budget, seed)
-    counts = np.where(hist.released, hist.counts, -np.inf)
-    if not hist.released.any():
+    edges, noisy_counts, released = private_histogram(means, r, R, budget, seed)
+    if not released.any():
         raise EstimationFailedError("all histogram buckets were suppressed")
-    best = int(np.argmax(counts))  # argmax takes the first max: smallest left endpoint
-    return float(spec.edges[best]), float(spec.edges[best + 1])
+    # argmax takes the first max: the smallest left endpoint
+    best = int(np.argmax(np.where(released, noisy_counts, -np.inf)))
+    return float(edges[best]), float(edges[best + 1])
 
 
 def fine_estimate_1d(

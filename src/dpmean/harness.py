@@ -32,6 +32,7 @@ from . import esthd_approx, esthd_pure, est1d, tailbounds
 from .core import (
     ConfigurationError,
     EstimationFailedError,
+    ParameterError,
     PersonMeans,
     PrivacyBudget,
     ProblemParams,
@@ -76,13 +77,21 @@ ESTIMATORS = {
 }
 
 
+def _check_seed(seed: Seed) -> None:
+    if not (0 <= seed < 2**64):
+        raise ConfigurationError(f"seed must fit in uint64, got {seed}")
+
+
 def _vec(x) -> str:
     return ";".join(repr(float(v)) for v in np.atleast_1d(x))
 
 
 @dataclass
 class ExperimentConfig:
-    """One estimator sweep: a parameter grid, a trial count, and a seed."""
+    """One estimator sweep: a parameter grid, a trial count, and a seed.
+
+    Every grid axis needs a value, and each value is checked when the config
+    is built, before any output is written."""
 
     estimator: str
     spec: SyntheticSpec
@@ -104,6 +113,28 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown estimator {self.estimator!r}")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
+        _check_seed(self.seed)
+        for axis in ("n", "m", "epsilon", "delta", "alpha", "k"):
+            if not getattr(self, axis):
+                raise ConfigurationError(f"grid {axis} needs at least one value")
+        if min(self.n) < 1 or min(self.m) < 1:
+            raise ConfigurationError("grid n and m must be >= 1")
+        # ProblemParams and PrivacyBudget check each field on its own, so a
+        # grid point passes iff each of its axis values does: every value is
+        # checked once, beside the first value of the other axes.  Each trial
+        # re-builds the spec at its grid k, so the spec is checked at each k.
+        try:
+            for kv in self.k:
+                ProblemParams(kv, self.alpha[0], self.beta, self.range_R)
+                SyntheticSpec(self.spec.family, self.spec.mean, kv, self.spec.extra)
+            for av in self.alpha:
+                ProblemParams(self.k[0], av, self.beta, self.range_R)
+            for ev in self.epsilon:
+                PrivacyBudget(ev, self.delta[0])
+            for dv in self.delta:
+                PrivacyBudget(self.epsilon[0], dv)
+        except ParameterError as exc:
+            raise ConfigurationError(f"grid: {exc}") from exc
         if not self.d:
             self.d = [self.spec.dim]
         if any(dv != self.spec.dim for dv in self.d):
@@ -315,20 +346,29 @@ class TailbenchConfig:
 
     Every (spec family, bound) pair must have a frozen calibration constant
     in ``tailbounds.FROZEN_CALIBRATION``; a pair without one has no verdict
-    to give, so the config is rejected.
+    to give, so the config is rejected.  So is one without a spec, a bound or
+    an m, with an m below 2, or with no grid point per window.
     """
 
     specs: list  # SyntheticSpec per family instance
     m: list
-    bounds: list  # subset of {heavytail, berry_esseen, highd}
+    bounds: list  # subset of tailbounds.BOUND_NAMES
     trials: int
     seed: Seed
     output_path: str
     grid_points_per_window: int = 12
 
     def __post_init__(self):
+        if not self.specs or not self.bounds:
+            raise ConfigurationError("tailbench needs at least one spec and one bound")
+        # The t-grids take ln m, which is 0 at m = 1.
+        if not self.m or min(self.m) < 2:
+            raise ConfigurationError("tailbench needs m >= 2 at every grid value")
+        if self.grid_points_per_window < 1:
+            raise ConfigurationError("grid_points_per_window must be >= 1")
+        _check_seed(self.seed)
         for b in self.bounds:
-            if b not in ("heavytail", "berry_esseen", "highd"):
+            if b not in tailbounds.BOUND_NAMES:
                 raise ConfigurationError(f"unknown bound {b!r}")
         for spec in self.specs:
             for b in self.bounds:
@@ -409,13 +449,12 @@ def run_tailbench(config: TailbenchConfig, threads: int = 1) -> str:
         start = 0
         for bound_name, grid in zip(bounds, grids):
             c_cal = tailbounds.FROZEN_CALIBRATION[(spec.family, bound_name)]
-            evaluator = tailbounds._BOUNDS[bound_name]
             for point in tail[start : start + len(grid)]:
-                q = tailbounds.TailBoundQuery(m=m, k=spec.k, t=point.t, d=d, constant=c_cal)
-                bv = evaluator(q)
+                value, valid = tailbounds.tail_bound(bound_name, m, spec.k, point.t, d)
+                value *= c_cal
                 lo = point.empirical - 3 * point.std_error
                 hi = point.empirical + 3 * point.std_error
-                verdict = 1 if hi <= bv.value else 0 if lo > bv.value else ""
+                verdict = 1 if hi <= value else 0 if lo > value else ""
                 rows.append(
                     {
                         "schema_version": CSV_SCHEMA_VERSION,
@@ -427,9 +466,9 @@ def run_tailbench(config: TailbenchConfig, threads: int = 1) -> str:
                         "empirical": repr(point.empirical),
                         "stderr": repr(point.std_error),
                         "bound_name": bound_name,
-                        "bound_value": repr(bv.value),
+                        "bound_value": repr(value),
                         "C_cal": repr(c_cal),
-                        "valid_window": int(bv.valid),
+                        "valid_window": int(valid),
                         "pass": verdict,
                     }
                 )

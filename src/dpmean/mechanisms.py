@@ -22,8 +22,6 @@ from .core import EstimateReport, ParameterError, PrivacyBudget, Seed, derive_rn
 
 __all__ = [
     "laplace_noise",
-    "HistogramSpec",
-    "NoisyHistogram",
     "private_histogram",
     "exponential_mechanism",
     "BudgetLedger",
@@ -48,96 +46,49 @@ def laplace_noise(scale: float, seed: Seed, size: int | None = None):
     return float(out) if size is None else out
 
 
-@dataclass(frozen=True)
-class HistogramSpec:
-    """Contiguous width-r buckets covering [-R-2r, R+2r), half-open on the right.
-
-    ``half_range`` is rounded up to a multiple of ``bucket_width`` so bucket
-    edges land on integer multiples of r (including 0).
-    """
-
-    bucket_width: float
-    half_range: float
-
-    def __post_init__(self):
-        if not (self.bucket_width > 0):
-            raise ParameterError(f"bucket_width must be > 0, got {self.bucket_width}")
-        if not (self.half_range > 0):
-            raise ParameterError(f"half_range must be > 0, got {self.half_range}")
-
-    @classmethod
-    def build(cls, r: float, R: float) -> "HistogramSpec":
-        if not (r > 0 and R > 0):
-            raise ParameterError("need r > 0 and R > 0")
-        steps = math.ceil(R / r - 1e-12)
-        return cls(bucket_width=float(r), half_range=float(steps * r))
-
-    @property
-    def num_buckets(self) -> int:
-        return 2 * (round(self.half_range / self.bucket_width) + 2)
-
-    @property
-    def edges(self) -> np.ndarray:
-        lo = -self.half_range - 2 * self.bucket_width
-        return lo + self.bucket_width * np.arange(self.num_buckets + 1)
-
-    @property
-    def lo(self) -> float:
-        return -self.half_range - 2 * self.bucket_width
-
-    @property
-    def hi(self) -> float:
-        return self.half_range + 2 * self.bucket_width
-
-    def bucket_index(self, x: np.ndarray) -> np.ndarray:
-        """Bucket index per point; -1 for points outside [lo, hi)."""
-        x = np.asarray(x, dtype=np.float64)
-        idx = np.floor((x - self.lo) / self.bucket_width).astype(np.int64)
-        idx[(x < self.lo) | (x >= self.hi)] = -1
-        return idx
-
-
-@dataclass
-class NoisyHistogram:
-    """Private histogram release: noisy counts plus a per-bucket release mask."""
-
-    counts: np.ndarray
-    released: np.ndarray
-    spec: HistogramSpec
-    n_dropped: int = 0
-
-    def __post_init__(self):
-        if len(self.counts) != self.spec.num_buckets:
-            raise ParameterError("counts length does not match bucket grid")
-
-
 def private_histogram(
-    points: Sequence[float], spec: HistogramSpec, budget: PrivacyBudget, seed: Seed
-) -> NoisyHistogram:
-    """Pure or stability-based private histogram over ``spec``'s buckets.
+    points: Sequence[float], r: float, R: float, budget: PrivacyBudget, seed: Seed
+) -> tuple:
+    """Pure or stability-based private histogram of ``points`` over width-r
+    buckets; returns (edges, noisy_counts, released).
+
+    The grid: R is rounded up to a multiple of r, half_range = ceil(R/r) r,
+    and the buckets tile [-half_range - 2r, half_range + 2r) with edges on
+    integer multiples of r (0 among them), each half-open on the right.
+    ``edges`` holds the 2 (half_range/r + 2) + 1 bucket boundaries,
+    ``noisy_counts`` and ``released`` one entry per bucket.  Points outside
+    the grid are not counted.
 
     Pure mode (delta = 0): Laplace(2/epsilon) noise on every bucket, all
     released.  Approx mode (delta > 0): Laplace(2/epsilon) only on nonempty
     buckets, releasing those whose noisy count clears
-    1 + 2 ln(2/delta)/epsilon; empty buckets are never released.  Points
-    outside the grid are dropped and counted in ``n_dropped``.
+    1 + 2 ln(2/delta)/epsilon; empty buckets are never released, and a
+    bucket not released has noisy count 0.
     """
+    if not (r > 0 and R > 0):
+        raise ParameterError("need r > 0 and R > 0")
+    half_range = float(math.ceil(R / r - 1e-12) * r)
+    num_buckets = 2 * (round(half_range / r) + 2)
+    lo = -half_range - 2 * r
+    hi = half_range + 2 * r
+    edges = lo + r * np.arange(num_buckets + 1)
     points = np.asarray(points, dtype=np.float64)
-    idx = spec.bucket_index(points)
-    dropped = int((idx < 0).sum())
-    counts = np.bincount(idx[idx >= 0], minlength=spec.num_buckets).astype(np.float64)
+    inside = points[(points >= lo) & (points < hi)]
+    # A point an ulp below hi can round up to index num_buckets.
+    idx = np.minimum(np.floor((inside - lo) / r), num_buckets - 1).astype(np.int64)
+    counts = np.bincount(idx, minlength=num_buckets).astype(np.float64)
     rng = derive_rng(seed)
-    noise = _laplace(rng, 2.0 / budget.epsilon, spec.num_buckets)
+    noise = _laplace(rng, 2.0 / budget.epsilon, num_buckets)
     if budget.is_pure:
         noisy = counts + noise
-        released = np.ones(spec.num_buckets, dtype=bool)
+        released = np.ones(num_buckets, dtype=bool)
     else:
         nonzero = counts > 0
         noisy = np.where(nonzero, counts + noise, 0.0)
         threshold = 1.0 + 2.0 * math.log(2.0 / budget.delta) / budget.epsilon
         released = nonzero & (noisy >= threshold)
         noisy = np.where(released, noisy, 0.0)
-    return NoisyHistogram(counts=noisy, released=released, spec=spec, n_dropped=dropped)
+    return edges, noisy, released
 
 
 def exponential_mechanism(

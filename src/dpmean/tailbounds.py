@@ -3,14 +3,18 @@ k-th-moment variables, a Monte Carlo tail verifier, and the lemma-level
 check suite.
 
 Every name here feeds a check that runs: tailbench and the acceptance suite
-compare ``mc_tail`` against the bound evaluators, and ``dpmean lemma-checks``
-and the acceptance suite run ``lemma_checks``.
+compare ``mc_tail`` against ``tail_bound``, and ``dpmean lemma-checks`` and
+the acceptance suite run ``lemma_checks``.
 
-All logs are natural.  The hidden constants of the asymptotic statements are
-handled by a frozen calibration protocol: a pre-registered search over
-{1, 2, 4, 8, 16} picks the smallest dominating constant per (family, bound)
-once (scripts/calibrate_tail_constants.py), and the acceptance suite asserts
-domination with those frozen constants on fresh seeds.
+``tail_bound(name, m, k, t, d)`` evaluates one of ``BOUND_NAMES`` at
+constant 1 and returns (value, valid): the bound, and whether t lies in the
+theorem's validity window.  All logs are natural.  The hidden constants of
+the asymptotic statements are handled by a frozen calibration protocol: a
+pre-registered search over {1, 2, 4, 8, 16} picks the smallest dominating
+constant per (family, bound) once (scripts/calibrate_tail_constants.py),
+callers multiply ``tail_bound``'s value by that ``FROZEN_CALIBRATION``
+entry, and the acceptance suite asserts domination with those frozen
+constants on fresh seeds.
 """
 
 from __future__ import annotations
@@ -29,12 +33,8 @@ from .core import (
 )
 
 __all__ = [
-    "TailBoundQuery",
-    "BoundValue",
-    "bound_heavytail",
-    "bound_berry_esseen",
-    "bound_highd",
-    "bound_markov",
+    "BOUND_NAMES",
+    "tail_bound",
     "berry_esseen_threshold",
     "heavytail_window",
     "highd_threshold",
@@ -60,31 +60,6 @@ FROZEN_CALIBRATION = {
     ("point_mass_mixture", "berry_esseen"): 16.0,
     ("point_mass_mixture", "highd"): 1.0,
 }
-
-
-@dataclass(frozen=True)
-class TailBoundQuery:
-    """(m, k, d, t, constant) tuple for evaluating one concentration bound."""
-
-    m: int
-    k: float
-    t: float
-    d: int = 1
-    constant: float = 1.0
-
-    def __post_init__(self):
-        if self.m < 1 or self.d < 1:
-            raise ParameterError("need m >= 1 and d >= 1")
-        if not (self.t > 0):
-            raise ParameterError(f"t must be > 0, got {self.t}")
-        if self.constant < 0:
-            raise ParameterError("constant must be >= 0")
-
-
-@dataclass(frozen=True)
-class BoundValue:
-    value: float
-    valid: bool  # whether t lies in the theorem's validity window
 
 
 def berry_esseen_threshold(m: int, k: float) -> float:
@@ -113,46 +88,37 @@ def highd_threshold(m: int, k: float, d: int) -> float:
     return math.sqrt(d * math.log(m) / m)
 
 
-def bound_heavytail(q: TailBoundQuery) -> BoundValue:
-    """C * (1/(m^{k-1} t^k) + exp(-m t^2 / 12)) for the one-sided average tail.
+BOUND_NAMES = ("heavytail", "berry_esseen", "highd")
 
-    Requires k >= 3.  Out-of-window t is flagged, still evaluated.
+
+def tail_bound(name: str, m: int, k: float, t: float, d: int = 1) -> tuple:
+    """(value, valid): bound ``name`` at constant 1 on the tail at t of the
+    average of m samples, and whether t lies in its validity window.
+
+    * heavytail: 1/(m^{k-1} t^k) + exp(-m t^2 / 12) for the one-sided tail;
+      needs k >= 3, and valid inside ``heavytail_window``.
+    * berry_esseen: m^{-k+1} t^{-k}, valid for t >= sqrt((k-1) ln m / m).
+    * highd: d^{k/2}/(m^{k-1} t^k) + exp(-m t^2 / d) for the L2-norm tail,
+      valid for t >= ``highd_threshold``.
+
+    An out-of-window t is flagged, still evaluated.  Needs m >= 1, d >= 1
+    and t > 0.
     """
-    if q.k < 3:
-        raise ParameterError(f"heavy-tail sum bound needs k >= 3, got {q.k}")
-    poly = 1.0 / (q.m ** (q.k - 1) * q.t**q.k)
-    expo = math.exp(-q.m * q.t**2 / 12.0)
-    lo, hi = heavytail_window(q.m, q.k)
-    return BoundValue(value=q.constant * (poly + expo), valid=lo < q.t < hi)
-
-
-def bound_berry_esseen(q: TailBoundQuery) -> BoundValue:
-    """C * m^{-k+1} t^{-k}, valid for t >= sqrt((k-1) ln m / m)."""
-    value = q.constant * q.m ** (-q.k + 1) * q.t ** (-q.k)
-    return BoundValue(value=value, valid=q.t >= berry_esseen_threshold(q.m, q.k))
-
-
-def bound_highd(q: TailBoundQuery) -> BoundValue:
-    """C * (d^{k/2}/(m^{k-1} t^k) + exp(-m t^2 / d)) for the L2-norm tail."""
-    poly = q.d ** (q.k / 2) / (q.m ** (q.k - 1) * q.t**q.k)
-    expo = math.exp(-q.m * q.t**2 / q.d)
-    return BoundValue(
-        value=q.constant * (poly + expo), valid=q.t >= highd_threshold(q.m, q.k, q.d)
-    )
-
-
-def bound_markov(k: float, t: float) -> float:
-    """Markov tail min(1, t^{-k}) for mean zero, k-th moment at most 1."""
-    if t <= 0:
-        raise ParameterError("t must be > 0")
-    return min(1.0, t ** (-k))
-
-
-_BOUNDS = {
-    "heavytail": bound_heavytail,
-    "berry_esseen": bound_berry_esseen,
-    "highd": bound_highd,
-}
+    if name not in BOUND_NAMES:
+        raise ParameterError(f"unknown bound {name!r}; expected one of {BOUND_NAMES}")
+    if m < 1 or d < 1:
+        raise ParameterError("need m >= 1 and d >= 1")
+    if not (t > 0):
+        raise ParameterError(f"t must be > 0, got {t}")
+    if name == "heavytail":
+        if k < 3:
+            raise ParameterError(f"heavy-tail sum bound needs k >= 3, got {k}")
+        lo, hi = heavytail_window(m, k)
+        return 1.0 / (m ** (k - 1) * t**k) + math.exp(-m * t**2 / 12.0), lo < t < hi
+    if name == "berry_esseen":
+        return m ** (-k + 1) * t ** (-k), t >= berry_esseen_threshold(m, k)
+    poly = d ** (k / 2) / (m ** (k - 1) * t**k)
+    return poly + math.exp(-m * t**2 / d), t >= highd_threshold(m, k, d)
 
 
 def acceptance_t_grid(bound: str, m: int, k: float, d: int = 1, points: int = 12) -> np.ndarray:

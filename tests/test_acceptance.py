@@ -24,7 +24,7 @@ from dpmean.core import (
     stable_hash,
 )
 from dpmean.esthd_pure import comparison_rho, score_candidate
-from dpmean.mechanisms import HistogramSpec, exponential_mechanism, laplace_noise, private_histogram
+from dpmean.mechanisms import exponential_mechanism, laplace_noise, private_histogram
 
 pytestmark = pytest.mark.acceptance
 
@@ -169,7 +169,6 @@ class TestA4TailDomination:
         failures = []
         total = 0
         for bound_name in ("heavytail", "berry_esseen"):
-            evaluator = tailbounds._BOUNDS[bound_name]
             c_cal = tailbounds.FROZEN_CALIBRATION[(family, bound_name)]
             for k in (3.0, 4.0):
                 for m in (16, 64, 256):
@@ -178,8 +177,8 @@ class TestA4TailDomination:
                     seed = derive_seed(0xA41, stable_hash([family, bound_name, k, m]))
                     for pt in tailbounds.mc_tail(spec, m, grid, 10**6, seed, threads=2):
                         total += 1
-                        q = tailbounds.TailBoundQuery(m=m, k=k, t=pt.t, d=1, constant=c_cal)
-                        if pt.empirical + 3 * pt.std_error > evaluator(q).value:
+                        value, _ = tailbounds.tail_bound(bound_name, m, k, pt.t)
+                        if pt.empirical + 3 * pt.std_error > c_cal * value:
                             failures.append((bound_name, k, m, pt.t))
         detail = f"domination at {total - len(failures)}/{total} grid points"
         if failures:
@@ -200,8 +199,8 @@ class TestA4TailDomination:
                     seed = derive_seed(0xA42, stable_hash([family, k, m, d]))
                     for pt in tailbounds.mc_tail(spec, m, grid, 10**6, seed, threads=2):
                         total += 1
-                        q = tailbounds.TailBoundQuery(m=m, k=k, t=pt.t, d=d, constant=c_cal)
-                        if pt.empirical + 3 * pt.std_error > tailbounds.bound_highd(q).value:
+                        value, _ = tailbounds.tail_bound("highd", m, k, pt.t, d)
+                        if pt.empirical + 3 * pt.std_error > c_cal * value:
                             failures.append((k, m, d, pt.t))
         report(
             f"A4(hd,{family})",
@@ -226,14 +225,13 @@ class TestA5LemmaSuite:
         )
         pieces.append(("laplace_tail", laplace_ok))
 
-        spec = HistogramSpec.build(0.1, 0.9)
         beta = 0.05
-        threshold = 2.0 * math.log(2 * spec.num_buckets / beta)
         hits = 0
         reps = 2000
         for rep in range(reps):
-            hist = private_histogram([], spec, PrivacyBudget(1.0, 0.0), derive_seed(0xA52, rep))
-            hits += np.abs(hist.counts).max() <= threshold
+            seed = derive_seed(0xA52, rep)
+            _, counts, _ = private_histogram([], 0.1, 0.9, PrivacyBudget(1.0, 0.0), seed)
+            hits += np.abs(counts).max() <= 2.0 * math.log(2 * len(counts) / beta)
         pieces.append(("histogram_linf", hits / reps >= 1 - beta))
 
         scores = derive_rng(0xA53).uniform(0, 10, size=200)

@@ -428,6 +428,77 @@ class TestSweepInProcess:
         assert "threads must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "tail.csv").exists()
 
+    @staticmethod
+    def write_config(tmp_path, name, config, **overrides):
+        config = {**config, "output_path": str(tmp_path / f"{name}.csv"), **overrides}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        return str(path)
+
+    SWEEP = {
+        "estimator": "est1d",
+        "spec": {"family": "scaled_gaussian", "mean": [0.3], "k": 4.0, "extra": {}},
+        "n": [256],
+        "m": [100],
+        "epsilon": [1.0],
+        "delta": [0.0],
+        "alpha": [0.15],
+        "k": [4.0],
+        "trials": 2,
+        "seed": 3,
+    }
+
+    @pytest.mark.parametrize(
+        "overrides, flags, message",
+        [
+            ({"n": []}, [], "grid n needs at least one value"),
+            ({"epsilon": [-1.0]}, [], "epsilon must be > 0"),
+            ({}, ["--seed", "-1"], "seed must fit in uint64"),
+            # each trial re-builds the spec at its grid k, and df 3.5 <= 4
+            (
+                {"spec": {"family": "student_t", "mean": [0.0], "k": 3.0, "extra": {"df": 3.5}},
+                 "k": [4.0]},
+                [],
+                "student_t requires df > k",
+            ),
+        ],
+        ids=["empty_axis", "negative_epsilon", "negative_seed_flag", "spec_at_grid_k"],
+    )
+    def test_sweep_rejected_before_output_exit_2(self, tmp_path, capsys, overrides, flags, message):
+        cfg_path = self.write_config(tmp_path, "sweep", self.SWEEP, **overrides)
+        rc = main(["sweep", "--config", cfg_path, *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    TAILBENCH = {
+        "specs": [{"family": "scaled_gaussian", "mean": [0.0], "k": 4.0, "extra": {}}],
+        "m": [16],
+        "bounds": ["berry_esseen"],
+        "trials": 100_000,
+        "seed": 3,
+    }
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"m": [1]}, "m >= 2"),
+            ({"m": [16, 0]}, "m >= 2"),
+            ({"grid_points_per_window": 0}, "grid_points_per_window must be >= 1"),
+            ({"specs": [], "bounds": []}, "at least one spec and one bound"),
+            ({"bounds": []}, "at least one spec and one bound"),
+        ],
+        ids=["m_one", "m_zero", "no_grid_points", "no_specs_or_bounds", "no_bounds"],
+    )
+    def test_tailbench_rejected_before_output_exit_2(self, tmp_path, capsys, overrides, message):
+        cfg_path = self.write_config(tmp_path, "tail", self.TAILBENCH, **overrides)
+        rc = main(["tailbench", "--config", cfg_path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "tail.csv").exists()
+
     def test_sweep_config_not_json_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text("{not json")

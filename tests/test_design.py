@@ -16,7 +16,11 @@ import dpmean
 
 # 70 -> 72: ``threads`` on ``core.sample_batch_means`` and on
 # ``tailbounds.mc_tail``, which draw Monte Carlo chunks on worker threads.
-MAX_KNOBS = 72
+# 72 -> 60: ``mechanisms.private_histogram`` and ``tailbounds.tail_bound``
+# take and return plain values, so the 13 fields of the four records that
+# carried their arguments and results are gone; ``tail_bound`` takes one
+# defaulted ``d``.
+MAX_KNOBS = 60
 
 
 def knob_count() -> int:

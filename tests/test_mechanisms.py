@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from dpmean.core import ParameterError, PrivacyBudget, derive_seed
 from dpmean.mechanisms import (
     BudgetLedger,
-    HistogramSpec,
-    NoisyHistogram,
     _laplace,
     exponential_mechanism,
     laplace_noise,
@@ -67,55 +65,73 @@ class TestLaplace:
         assert _laplace(TinyUniform(), 1.0) == -np.sign(u) * np.log1p(-2.0 * abs(u))
 
 
-class TestHistogramSpec:
+# At epsilon = 1e12 the Laplace noise is below 1e-10, so rounded noisy
+# counts are the true counts.
+NOISELESS = PrivacyBudget(1e12, 0.0)
+
+
+class TestHistogramGrid:
     def test_grid_alignment(self):
-        spec = HistogramSpec.build(1.0, 1.0)
-        np.testing.assert_allclose(spec.edges, [-3, -2, -1, 0, 1, 2, 3])
-        assert spec.num_buckets == 6
+        edges, counts, released = private_histogram([], 1.0, 1.0, NOISELESS, 3)
+        np.testing.assert_allclose(edges, [-3, -2, -1, 0, 1, 2, 3])
+        assert len(counts) == len(released) == 6
 
     def test_half_range_rounded_up(self):
-        spec = HistogramSpec.build(0.4, 1.0)
-        assert math.isclose(spec.half_range, 1.2)
-        assert math.isclose(spec.edges[0], -2.0)
+        # R = 1 rounds up to 1.2 = 3 r at r = 0.4, so the grid spans [-2, 2)
+        edges, counts, _ = private_histogram([], 0.4, 1.0, NOISELESS, 3)
+        assert len(counts) == 10
+        assert math.isclose(edges[0], -2.0)
+        assert math.isclose(edges[-1], 2.0)
 
     def test_bucket_index_right_open(self):
-        spec = HistogramSpec.build(1.0, 1.0)
-        idx = spec.bucket_index(np.array([0.0, 0.999, 1.0, -3.0, 3.0, -3.001]))
-        assert list(idx) == [3, 3, 4, 0, -1, -1]
+        points = [0.0, 0.999, 1.0, -3.0, 3.0, -3.001]
+        _, counts, _ = private_histogram(points, 1.0, 1.0, NOISELESS, 3)
+        assert [round(c) for c in counts] == [1, 0, 0, 2, 1, 0]
+
+    @pytest.mark.parametrize("r, R", [(0.1, 0.9), (0.3, 1.0)])
+    def test_point_an_ulp_below_the_top_edge_lands_in_the_last_bucket(self, r, R):
+        # the grid is [lo, -lo); (x - lo) / r rounds up to the bucket count
+        # at these widths
+        edges, _, _ = private_histogram([], r, R, NOISELESS, 3)
+        x = np.nextafter(-edges[0], -np.inf)
+        _, counts, _ = private_histogram([x], r, R, NOISELESS, 3)
+        assert round(counts[-1]) == 1 and round(counts.sum()) == 1
+
+    def test_grid_needs_positive_widths(self):
+        for r, R in ((0.0, 1.0), (1.0, 0.0)):
+            with pytest.raises(ParameterError):
+                private_histogram([], r, R, NOISELESS, 3)
 
 
 class TestPrivateHistogram:
     def test_noiseless_limit(self):
-        spec = HistogramSpec.build(1.0, 1.0)
-        hist = private_histogram([0.1, 0.2, 1.5], spec, PrivacyBudget(1e12, 0.0), 3)
-        assert round(hist.counts[3]) == 2  # [0, 1)
-        assert round(hist.counts[4]) == 1  # [1, 2)
-        assert all(round(c) == 0 for i, c in enumerate(hist.counts) if i not in (3, 4))
+        _, counts, _ = private_histogram([0.1, 0.2, 1.5], 1.0, 1.0, NOISELESS, 3)
+        assert round(counts[3]) == 2  # [0, 1)
+        assert round(counts[4]) == 1  # [1, 2)
+        assert all(round(c) == 0 for i, c in enumerate(counts) if i not in (3, 4))
 
     def test_pure_linf_error_union_bound(self):
         # max |noisy - true| <= (2/eps) ln(2 * 20 * 1e4) in >= 99% of 1e4 runs
-        spec = HistogramSpec.build(0.1, 0.9)
-        assert spec.num_buckets == 22
         budget = PrivacyBudget(1.0, 0.0)
         bound = 2.0 * math.log(2 * 20 * 10**4)
         bad = 0
         reps = 10**4
         for rep in range(reps):
-            hist = private_histogram([], spec, budget, derive_seed(99, rep))
-            if np.abs(hist.counts).max() > bound:
+            _, counts, _ = private_histogram([], 0.1, 0.9, budget, derive_seed(99, rep))
+            assert len(counts) == 22
+            if np.abs(counts).max() > bound:
                 bad += 1
         assert bad / reps <= 0.01
 
     def test_pure_linf_error_beta_frequency(self):
         # measured max error <= 2/eps ln(2 |U|/beta) with frequency >= 1 - beta
-        spec = HistogramSpec.build(0.1, 0.9)
         beta = 0.05
-        bound = 2.0 * math.log(2 * spec.num_buckets / beta)
         hits = 0
         reps = 2000
         for rep in range(reps):
-            hist = private_histogram([], spec, PrivacyBudget(1.0, 0.0), derive_seed(123, rep))
-            if np.abs(hist.counts).max() <= bound:
+            seed = derive_seed(123, rep)
+            _, counts, _ = private_histogram([], 0.1, 0.9, PrivacyBudget(1.0, 0.0), seed)
+            if np.abs(counts).max() <= 2.0 * math.log(2 * len(counts) / beta):
                 hits += 1
         assert hits / reps >= 1 - beta
 
@@ -124,26 +140,24 @@ class TestPrivateHistogram:
         assert math.isclose(1 + 2 * math.log(2 / 1e-6), 30.017315477048438, rel_tol=1e-12)
 
     def test_empty_buckets_never_released(self):
-        spec = HistogramSpec.build(1.0, 1.0)
         budget = PrivacyBudget(1.0, 1e-6)
         data = [0.5] * 100  # one heavy bucket, everything else empty
         releases_of_empty = 0
         for rep in range(10**5 // 100):
-            hist = private_histogram(data, spec, budget, derive_seed(7, rep))
-            released_empty = hist.released.copy()
+            _, _, released = private_histogram(data, 1.0, 1.0, budget, derive_seed(7, rep))
+            released_empty = released.copy()
             released_empty[3] = False  # ignore the occupied bucket
             releases_of_empty += int(released_empty.any())
         assert releases_of_empty == 0
 
     def test_heavy_bucket_released_when_count_clears_threshold(self):
-        spec = HistogramSpec.build(1.0, 1.0)
-        hist = private_histogram([0.5] * 1000, spec, PrivacyBudget(1.0, 1e-6), 3)
-        assert hist.released[3]
+        _, _, released = private_histogram([0.5] * 1000, 1.0, 1.0, PrivacyBudget(1.0, 1e-6), 3)
+        assert released[3]
 
     def test_out_of_range_dropped_and_counted(self):
-        spec = HistogramSpec.build(1.0, 1.0)
-        hist = private_histogram([0.0, 100.0, -50.0], spec, PrivacyBudget(1e12, 0.0), 3)
-        assert hist.n_dropped == 2
+        # the point in the grid is counted; the two outside it are dropped
+        _, counts, _ = private_histogram([0.0, 100.0, -50.0], 1.0, 1.0, NOISELESS, 3)
+        assert [round(c) for c in counts] == [0, 0, 0, 1, 0, 0]
 
 
 class TestExponentialMechanism:

@@ -9,68 +9,71 @@ from hypothesis import strategies as st
 
 from dpmean.core import ParameterError, SyntheticSpec
 from dpmean.tailbounds import (
+    BOUND_NAMES,
     FROZEN_CALIBRATION,
-    TailBoundQuery,
     acceptance_t_grid,
     berry_esseen_threshold,
-    bound_berry_esseen,
-    bound_heavytail,
-    bound_highd,
-    bound_markov,
     heavytail_window,
     lemma_checks,
     mc_tail,
+    tail_bound,
 )
 
 
 class TestEvaluators:
     def test_heavytail_frozen_value(self):
         # m=100, k=3, t=0.5, C=1 -> 8e-4 + e^{-25/12} = 0.12531447144412297
-        out = bound_heavytail(TailBoundQuery(m=100, k=3.0, t=0.5))
-        assert math.isclose(out.value, 0.12531447144412297, rel_tol=1e-12)
+        value, _ = tail_bound("heavytail", 100, 3.0, 0.5)
+        assert math.isclose(value, 0.12531447144412297, rel_tol=1e-12)
 
     def test_heavytail_limit_and_m1(self):
-        assert bound_heavytail(TailBoundQuery(m=100, k=3.0, t=1e6)).value < 1e-15
+        assert tail_bound("heavytail", 100, 3.0, 1e6)[0] < 1e-15
         # m=1: polynomial term reduces to the Markov bound t^{-k}
-        q = TailBoundQuery(m=1, k=3.0, t=2.0)
-        poly = bound_heavytail(q).value - math.exp(-q.t**2 / 12)
-        assert math.isclose(poly, bound_markov(3.0, 2.0), rel_tol=1e-12)
+        value, _ = tail_bound("heavytail", 1, 3.0, 2.0)
+        assert math.isclose(value - math.exp(-(2.0**2) / 12), 2.0**-3, rel_tol=1e-12)
 
     def test_heavytail_needs_k3(self):
         with pytest.raises(ParameterError):
-            bound_heavytail(TailBoundQuery(m=100, k=2.5, t=0.5))
+            tail_bound("heavytail", 100, 2.5, 0.5)
 
     def test_berry_esseen_frozen_values(self):
-        out = bound_berry_esseen(TailBoundQuery(m=100, k=3.0, t=0.5))
-        assert math.isclose(out.value, 8e-4, rel_tol=1e-12)
-        assert out.valid
-        assert bound_berry_esseen(TailBoundQuery(m=100, k=3.0, t=0.5, constant=0.0)).value == 0.0
+        value, valid = tail_bound("berry_esseen", 100, 3.0, 0.5)
+        assert math.isclose(value, 8e-4, rel_tol=1e-12)
+        assert valid
         # threshold at m=100, k=3: sqrt(2 ln 100 / 100) = 0.30348542587702926
         assert math.isclose(
             berry_esseen_threshold(100, 3.0), 0.30348542587702926, rel_tol=1e-12
         )
-        assert not bound_berry_esseen(TailBoundQuery(m=100, k=3.0, t=0.3)).valid
+        assert not tail_bound("berry_esseen", 100, 3.0, 0.3)[1]
 
     def test_highd_frozen_value(self):
         # d=4, m=256, k=4, t=1 -> 16/256^3 + e^{-64} = 9.5367e-07
-        out = bound_highd(TailBoundQuery(m=256, k=4.0, t=1.0, d=4))
-        assert math.isclose(out.value, 9.5367431640625e-07 + math.exp(-64), rel_tol=1e-9)
+        value, _ = tail_bound("highd", 256, 4.0, 1.0, 4)
+        assert math.isclose(value, 9.5367431640625e-07 + math.exp(-64), rel_tol=1e-9)
 
     def test_highd_d1_matches_univariate_polynomial(self):
-        q = TailBoundQuery(m=64, k=3.0, t=0.7, d=1)
-        poly_hd = bound_highd(q).value - math.exp(-q.m * q.t**2)
-        assert math.isclose(poly_hd, bound_berry_esseen(q).value, rel_tol=1e-9)
+        poly_hd = tail_bound("highd", 64, 3.0, 0.7, 1)[0] - math.exp(-64 * 0.7**2)
+        assert math.isclose(poly_hd, tail_bound("berry_esseen", 64, 3.0, 0.7)[0], rel_tol=1e-9)
 
-    def test_markov(self):
-        assert bound_markov(3.0, 1.0) == 1.0
-        assert bound_markov(3.0, 2.0) == 0.125
-        assert bound_markov(3.0, 1e9) < 1e-26
+    @pytest.mark.parametrize(
+        "name, m, t, d",
+        [
+            ("tail", 100, 0.5, 1),  # unknown bound
+            ("berry_esseen", 100, 0.0, 1),
+            ("highd", 100, -0.5, 2),
+            ("heavytail", 0, 0.5, 1),
+            ("highd", 100, 0.5, 0),
+        ],
+    )
+    def test_rejects_arguments_outside_the_contract(self, name, m, t, d):
+        with pytest.raises(ParameterError):
+            tail_bound(name, m, 3.0, t, d)
 
     def test_berry_esseen_leq_heavytail_poly(self):
         for m in (16, 64, 256):
             for t in (0.3, 0.5, 1.0):
-                q = TailBoundQuery(m=m, k=3.0, t=t)
-                assert bound_berry_esseen(q).value <= bound_heavytail(q).value
+                be = tail_bound("berry_esseen", m, 3.0, t)[0]
+                assert be <= tail_bound("heavytail", m, 3.0, t)[0]
 
     @given(
         st.sampled_from([4, 16, 64, 256]),
@@ -80,18 +83,14 @@ class TestEvaluators:
     )
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_t(self, m, k, t, d):
-        for fn, q1, q2 in [
-            (bound_heavytail, TailBoundQuery(m, k, t), TailBoundQuery(m, k, t * 1.5)),
-            (bound_berry_esseen, TailBoundQuery(m, k, t), TailBoundQuery(m, k, t * 1.5)),
-            (bound_highd, TailBoundQuery(m, k, t, d), TailBoundQuery(m, k, t * 1.5, d)),
-        ]:
-            assert fn(q2).value <= fn(q1).value
+        for name in BOUND_NAMES:
+            assert tail_bound(name, m, k, t * 1.5, d)[0] <= tail_bound(name, m, k, t, d)[0]
 
     @given(st.floats(3.0, 6.0), st.floats(1.0, 5.0), st.integers(1, 8))
     @settings(max_examples=100, deadline=None)
     def test_monotone_in_m_for_t_above_one(self, k, t, d):
-        for fn in (bound_heavytail, bound_berry_esseen, bound_highd):
-            vals = [fn(TailBoundQuery(m, k, t, d)).value for m in (4, 16, 64, 256)]
+        for name in BOUND_NAMES:
+            vals = [tail_bound(name, m, k, t, d)[0] for m in (4, 16, 64, 256)]
             assert all(b <= a * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
 
     def test_window_shapes(self):

@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
             "sweep",
             "run an experiment grid from a JSON config",
             "worker threads (default: 1); each extra worker keeps its own malloc arena, "
-            "up to one 32 MiB student_t sampling chunk of resident memory",
+            "a few MB of resident memory",
         ),
         (
             "tailbench",

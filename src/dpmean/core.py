@@ -6,8 +6,8 @@ slices and column views each entry point hands to its stages.
 ``PersonDataset`` (n x m x d raw samples) is for ingest only, and
 ``sample_batch_means`` is the one sampler.  It draws in chunks, each on its
 own stream and on any of its ``threads`` workers, so the thread count never
-changes a bit; a Gaussian chunk is drawn in cache-sized blocks, a Student-t
-chunk whole, and a point-mass chunk as one binomial per mean.  Budgets are
+changes a bit; Gaussian and Student-t chunks are drawn in cache-sized
+blocks, and a point-mass chunk as one binomial per mean.  Budgets are
 ``PrivacyBudget``s and synthetic distributions ``SyntheticSpec``s.  All
 randomness flows through ``derive_rng`` so that any operation is
 bit-reproducible given (inputs, seed).  A JSON config that does not parse,
@@ -268,9 +268,9 @@ class ClipBall:
 
 _FAMILIES = ("scaled_gaussian", "point_mass_mixture", "student_t")
 
-# Scalar samples per block of a scaled_gaussian ``sample_means`` (512 KiB),
-# so a block stays in cache.
-GAUSSIAN_BLOCK = 1 << 16
+# Scalar samples per block of a scaled_gaussian or student_t ``sample_means``
+# (512 KiB), so a block stays in cache.
+SAMPLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -296,12 +296,11 @@ class SyntheticSpec:
     ``sample_means`` draws the mean of m samples.  For point_mass_mixture it
     is exact: the mean is shift + atom * v * Binomial(m, lambda) / m, one
     binomial variate per mean.  The other two families draw m samples and
-    average them.  scaled_gaussian does so in row blocks of about
-    ``GAUSSIAN_BLOCK`` scalars, one block after another from the same
-    generator; consecutive ``standard_normal`` calls continue one stream, so
-    the bits are those of a single draw.  student_t draws all its samples at
-    once, because its chi-square variates follow all of its normals in the
-    stream.
+    average them, in row blocks of about ``SAMPLE_BLOCK`` scalars, one block
+    after another from the same generator.  Consecutive ``standard_normal``
+    calls continue one stream, so scaled_gaussian's bits are those of a
+    single draw.  A student_t block draws its normals, then its chi-square
+    variates, so its stream depends on the block size.
     """
 
     family: str
@@ -397,10 +396,8 @@ class SyntheticSpec:
             b = rng.binomial(m, lam, n)
             return (b / m)[:, None] * (atom * v) + (self.mean_vector() - lam * atom * v)
         d = self.dim
-        if self.family == "student_t":
-            return self.sample(rng, n * m).reshape(n, m, d).mean(axis=1)
         out = np.empty((n, d))
-        rows = max(1, GAUSSIAN_BLOCK // (m * d))
+        rows = max(1, SAMPLE_BLOCK // (m * d))
         for start in range(0, n, rows):
             stop = min(n, start + rows)
             out[start:stop] = self.sample(rng, (stop - start) * m).reshape(-1, m, d).mean(axis=1)
@@ -490,12 +487,12 @@ def sample_batch_means(
 
     Chunked: each chunk of ``BATCH_CHUNK // (m * d)`` means comes from
     ``spec.sample_means`` on its own ``derive_rng(seed, chunk_index)`` stream
-    and fills only its own rows.  A scaled_gaussian chunk holds one block of
-    about ``GAUSSIAN_BLOCK`` samples at a time, a student_t chunk all of its
-    m * d samples per mean (at most ``BATCH_CHUNK``), and a point_mass_mixture
-    chunk one binomial per mean.  ``threads`` workers (at least 1) draw the
-    chunks; one worker draws them in the caller, in order.  The thread count
-    never changes a bit of the result.
+    and fills only its own rows.  A scaled_gaussian or student_t chunk holds
+    one block of about ``SAMPLE_BLOCK`` samples at a time, never all of its
+    m * d samples per mean, and a point_mass_mixture chunk one binomial per
+    mean.  ``threads`` workers (at least 1) draw the chunks; one worker draws
+    them in the caller, in order.  The thread count never changes a bit of
+    the result.
     """
     if m < 1 or trials < 1:
         raise ParameterError("need m, trials >= 1")

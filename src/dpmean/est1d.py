@@ -37,6 +37,7 @@ __all__ = [
     "range_estimator",
     "fine_estimate_1d",
     "choose_rho_1d",
+    "coarse_width",
     "estimate_mean_1d",
     "DEFAULT_RHO_CONSTANT",
 ]
@@ -104,6 +105,12 @@ def choose_rho_1d(n: int, m: int, epsilon: float, beta: float, k: float) -> floa
     return DEFAULT_RHO_CONSTANT * (concentration + noise_tradeoff)
 
 
+def coarse_width(m: int) -> float:
+    """The coarse stage's bucket width at m samples a person: half the
+    accuracy target u = 16/sqrt(m).  ``range_estimator`` needs it below R."""
+    return 16 / math.sqrt(m) / 2
+
+
 def estimate_mean_1d(
     data: PersonMeans, budget: PrivacyBudget, params: ProblemParams, seed: Seed
 ) -> EstimateReport:
@@ -138,7 +145,7 @@ def _estimate_column(
     ``estimate_mean_1d`` other than the ledger.
     """
     eps_stage = budget.epsilon / 2
-    r = 16 / math.sqrt(m) / 2
+    r = coarse_width(m)
     lo, hi = range_estimator(
         means, m, ledger.add(eps_stage, budget.delta), r, params.range_R, derive_seed(seed, 0)
     )

@@ -145,6 +145,14 @@ class ExperimentConfig:
             raise ConfigurationError(f"{self.estimator} requires delta > 0")
         if self.estimator == "est1d" and self.spec.dim != 1:
             raise ConfigurationError("est1d requires a univariate spec")
+        # est1d and pure_dp run est1d's coarse stage, whose bucket width
+        # shrinks with m and must stay below range_R.
+        width = est1d.coarse_width(min(self.m))
+        if self.estimator in ("est1d", "pure_dp") and width >= self.range_R:
+            raise ConfigurationError(
+                f"{self.estimator} needs the coarse bucket width 8/sqrt(m) below range_R = "
+                f"{self.range_R}, got {width} at m = {min(self.m)}"
+            )
 
     def grid_points(self) -> list:
         return [
@@ -277,10 +285,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> str:
     so one worker runs every trial in the caller, in grid order.  The first
     exception stops the workers from starting further trials and propagates.
     Each extra worker keeps its own malloc arena, which keeps the memory of
-    the largest draw it made.  At n = 2^14, m = 64, d = 8 (hd_two_round,
-    four trials) two workers take peak RSS from 81 to 119 MB on student_t,
-    whose 32 MiB chunks are drawn whole, and from 39 to 42 MB on
-    scaled_gaussian, drawn in blocks.
+    the largest draw it made; draws are made in 512 KiB blocks, so at
+    n = 2^14, m = 64, d = 8 (hd_two_round, four trials) two workers take
+    peak RSS from 39 to about 42 MB on student_t and on scaled_gaussian.
     """
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
@@ -340,6 +347,16 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> str:
     return config.output_path
 
 
+def _bounds_for(spec: SyntheticSpec, bounds: list) -> list:
+    """The names in ``bounds`` that apply to ``spec``: heavytail and
+    berry_esseen are univariate, highd multivariate; heavytail needs k >= 3."""
+    return [
+        b
+        for b in bounds
+        if (b == "highd") == (spec.dim > 1) and not (b == "heavytail" and spec.k < 3)
+    ]
+
+
 @dataclass
 class TailbenchConfig:
     """Tail-bound verification sweep: families x (m, k, d) x bound names.
@@ -347,7 +364,8 @@ class TailbenchConfig:
     Every (spec family, bound) pair must have a frozen calibration constant
     in ``tailbounds.FROZEN_CALIBRATION``; a pair without one has no verdict
     to give, so the config is rejected.  So is one without a spec, a bound or
-    an m, with an m below 2, or with no grid point per window.
+    an m, with an m below 2, with no grid point per window, or where no bound
+    applies to any spec (see ``_bounds_for``).
     """
 
     specs: list  # SyntheticSpec per family instance
@@ -376,6 +394,8 @@ class TailbenchConfig:
                     raise ConfigurationError(
                         f"no frozen calibration constant for ({spec.family!r}, {b!r})"
                     )
+        if not any(_bounds_for(spec, self.bounds) for spec in self.specs):
+            raise ConfigurationError(f"no bound in {self.bounds} applies to any spec")
         if self.trials < 100_000:
             raise ConfigurationError("tailbench needs trials >= 1e5")
 
@@ -429,13 +449,7 @@ def run_tailbench(config: TailbenchConfig, threads: int = 1) -> str:
     rows = []
     for spec, m in itertools.product(config.specs, config.m):
         d = spec.dim
-        # heavytail and berry_esseen are univariate, highd multivariate;
-        # heavytail needs k >= 3.
-        bounds = [
-            b
-            for b in config.bounds
-            if (b == "highd") == (d > 1) and not (b == "heavytail" and spec.k < 3)
-        ]
+        bounds = _bounds_for(spec, config.bounds)
         if not bounds:
             continue
         grids = [

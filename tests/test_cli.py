@@ -461,8 +461,12 @@ class TestSweepInProcess:
                 [],
                 "student_t requires df > k",
             ),
+            # the coarse bucket width 8/sqrt(m) reaches range_R = 2 at m = 16
+            ({"m": [64, 16]}, [], "coarse bucket width"),
+            ({"estimator": "pure_dp", "m": [16]}, [], "coarse bucket width"),
         ],
-        ids=["empty_axis", "negative_epsilon", "negative_seed_flag", "spec_at_grid_k"],
+        ids=["empty_axis", "negative_epsilon", "negative_seed_flag", "spec_at_grid_k",
+             "est1d_coarse_width_at_range", "pure_dp_coarse_width_at_range"],
     )
     def test_sweep_rejected_before_output_exit_2(self, tmp_path, capsys, overrides, flags, message):
         cfg_path = self.write_config(tmp_path, "sweep", self.SWEEP, **overrides)
@@ -488,8 +492,16 @@ class TestSweepInProcess:
             ({"grid_points_per_window": 0}, "grid_points_per_window must be >= 1"),
             ({"specs": [], "bounds": []}, "at least one spec and one bound"),
             ({"bounds": []}, "at least one spec and one bound"),
+            # highd is multivariate, and heavytail needs k >= 3
+            ({"bounds": ["highd"]}, "applies to any spec"),
+            (
+                {"specs": [{"family": "scaled_gaussian", "mean": [0.0], "k": 2.5, "extra": {}}],
+                 "bounds": ["heavytail"]},
+                "applies to any spec",
+            ),
         ],
-        ids=["m_one", "m_zero", "no_grid_points", "no_specs_or_bounds", "no_bounds"],
+        ids=["m_one", "m_zero", "no_grid_points", "no_specs_or_bounds", "no_bounds",
+             "univariate_highd", "heavytail_below_k3"],
     )
     def test_tailbench_rejected_before_output_exit_2(self, tmp_path, capsys, overrides, message):
         cfg_path = self.write_config(tmp_path, "tail", self.TAILBENCH, **overrides)

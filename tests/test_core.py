@@ -254,35 +254,45 @@ class TestSampling:
             (gaussian_spec(mean=(0.3,)), 80),
             # m * d = 128 exceeds the block: one row a block
             (gaussian_spec(mean=tuple(0.1 * i for i in range(8))), 64),
+            # 4 rows a block: an 85-row chunk is 21 blocks and then a 1-row block
+            (
+                SyntheticSpec("student_t", mean=(0.1, -0.2, 0.3), k=4.0, extra={"df": 10.0}),
+                192,
+            ),
         ],
         ids=["gaussian_d1", "gaussian_d4", "student_t_d8", "gaussian_1_row_tail_block",
-             "gaussian_row_per_block"],
+             "gaussian_row_per_block", "student_t_1_row_tail_block"],
     )
     def test_batch_means_keep_draw_then_average_bits(self, monkeypatch, spec, block):
-        # the reference draws out of place, then averages, chunk by chunk
+        # The reference draws out of place, then averages, chunk by chunk.
+        # Gaussian blocks continue one stream, so it draws a Gaussian chunk
+        # at once; a student_t block draws its normals, then its chi-squares.
         monkeypatch.setattr(core, "BATCH_CHUNK", 4096)
         if block is not None:
-            monkeypatch.setattr(core, "GAUSSIAN_BLOCK", block)
+            monkeypatch.setattr(core, "SAMPLE_BLOCK", block)
         m, trials, seed, d = 16, 1000, 41, spec.dim
         per_chunk = 4096 // (m * d)
+        rows = max(1, core.SAMPLE_BLOCK // (m * d))
         if block is not None:
-            rows = max(1, block // (m * d))
             assert per_chunk // rows > 1  # a chunk spans several blocks
             assert rows == 1 or per_chunk % rows == 1  # and ends in a 1-row block
+        step = rows if spec.family == "student_t" else per_chunk
         parts = []
         for chunk_index, start in enumerate(range(0, trials, per_chunk)):
             rng = derive_rng(seed, chunk_index)
-            size = (min(trials, start + per_chunk) - start) * m
-            if spec.family == "scaled_gaussian":
-                sigma_k = gaussian_abs_moment(spec.k) ** (1.0 / spec.k)
-                x = rng.standard_normal((size, d)) / sigma_k + spec.mean_vector()
-            else:
-                df = float(spec.extra["df"])
-                scale = student_t_abs_moment(spec.k, df) ** (1.0 / spec.k)
-                z = rng.standard_normal((size, d))
-                w = rng.chisquare(df, size)
-                x = z / np.sqrt(w / df)[:, None] / scale + spec.mean_vector()
-            parts.append(x.reshape(-1, m, d).mean(axis=1))
+            stop = min(trials, start + per_chunk)
+            for lo in range(start, stop, step):
+                size = (min(stop, lo + step) - lo) * m
+                if spec.family == "scaled_gaussian":
+                    sigma_k = gaussian_abs_moment(spec.k) ** (1.0 / spec.k)
+                    x = rng.standard_normal((size, d)) / sigma_k + spec.mean_vector()
+                else:
+                    df = float(spec.extra["df"])
+                    scale = student_t_abs_moment(spec.k, df) ** (1.0 / spec.k)
+                    z = rng.standard_normal((size, d))
+                    w = rng.chisquare(df, size)
+                    x = z / np.sqrt(w / df)[:, None] / scale + spec.mean_vector()
+                parts.append(x.reshape(-1, m, d).mean(axis=1))
         assert len(parts) > 2
         got = sample_batch_means(spec, m, trials, seed)
         assert got.tobytes() == np.concatenate(parts).tobytes()
@@ -323,13 +333,20 @@ class TestSampling:
         assert len(calls) < 157 // 2  # of 157 chunks of 64 means
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_gaussian_batch_memory_is_bounded_by_blocks(self, threads):
+    @pytest.mark.parametrize("family", ["scaled_gaussian", "student_t"])
+    def test_batch_memory_is_bounded_by_blocks(self, family, threads):
         # numpy reports its buffers to tracemalloc.  Besides the output, each
         # worker holds one chunk of means and at most two blocks of samples,
-        # never the chunk's BATCH_CHUNK samples (32 MiB).
-        spec = gaussian_spec(mean=(0.0,) * 4)
+        # never the chunk's BATCH_CHUNK samples (32 MiB).  A student_t block
+        # also holds its rows * m chi-squares and two temporaries of that size
+        # (w / df and its sqrt).
         m, trials, d = 64, 100_000, 4
+        extra = {"df": 10.0} if family == "student_t" else {}
+        spec = SyntheticSpec(family, mean=(0.0,) * d, k=4.0, extra=extra)
         per_chunk = core.BATCH_CHUNK // (m * d)
+        per_block = 2 * core.SAMPLE_BLOCK
+        if family == "student_t":
+            per_block += 3 * (core.SAMPLE_BLOCK // (m * d)) * m
         # a first call starts the threads and loads what they import
         sample_batch_means(spec, m, 2 * per_chunk, 5, threads)
         tracemalloc.start()
@@ -338,7 +355,7 @@ class TestSampling:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = out.nbytes + threads * 8 * (per_chunk * d + 2 * core.GAUSSIAN_BLOCK)
+        bound = out.nbytes + threads * 8 * (per_chunk * d + per_block)
         assert peak <= bound, (peak / 2**20, bound / 2**20)
 
     @pytest.mark.parametrize("m,d", [(16, 1), (64, 4)])

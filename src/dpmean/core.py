@@ -6,14 +6,17 @@ slices and column views each entry point hands to its stages.
 ``PersonDataset`` (n x m x d raw samples) is for ingest only, and
 ``sample_batch_means`` is the one sampler.  It draws in chunks, each on its
 own stream and on any of its ``threads`` workers, so the thread count never
-changes a bit; Gaussian and Student-t chunks are drawn in cache-sized
-blocks, and a point-mass chunk as one binomial per mean.  Budgets are
-``PrivacyBudget``s and synthetic distributions ``SyntheticSpec``s.  All
-randomness flows through ``derive_rng`` so that any operation is
-bit-reproducible given (inputs, seed).  A JSON config that does not parse,
-or holds a field of the wrong type, is a ``ConfigurationError`` (see
-``config_errors``).  That the generators are normalised (k-th moment 1 in
-every direction) is checked in the tests, not here.
+changes a bit; a point-mass chunk is one binomial per mean.  Gaussian and
+Student-t chunks are drawn in cache-sized blocks into two buffers that every
+block of the chunk reuses: one holds the block's samples, and half a block
+of scratch holds them in (sample, person) order, so that averaging adds m
+contiguous slabs in the order numpy's ``mean`` adds them, bit for bit.
+Budgets are ``PrivacyBudget``s and synthetic distributions
+``SyntheticSpec``s.  All randomness flows through ``derive_rng`` so that any
+operation is bit-reproducible given (inputs, seed).  A JSON config that does
+not parse, or holds a field of the wrong type, is a ``ConfigurationError``
+(see ``config_errors``).  That the generators are normalised (k-th moment 1
+in every direction) is checked in the tests, not here.
 """
 
 from __future__ import annotations
@@ -197,7 +200,7 @@ class PersonDataset:
     def person_means(self) -> PersonMeans:
         """Per-person averages S_i = (1/m) sum_j X^{(i)}_j, shape (n, d)."""
         with np.errstate(over="ignore"):  # PersonMeans names an overflowed mean
-            means = self.values.mean(axis=1)
+            means = _mean_over_samples(self.values)
         return PersonMeans(means, self.values.shape[1])
 
 
@@ -273,6 +276,47 @@ _FAMILIES = ("scaled_gaussian", "point_mass_mixture", "student_t")
 SAMPLE_BLOCK = 1 << 16
 
 
+def _mean_over_samples(
+    x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """``x.mean(axis=1)`` of a C-contiguous (n, m, d) array, bit for bit,
+    written into ``out`` ((n, d); allocated when None).
+
+    At d > 1 numpy adds the m samples in order, j = 0, ..., m - 1, starting
+    from 0, but its inner loop is only d long.  Here each pass copies as
+    many people as ``scratch`` holds into (m, people, d) order, each
+    sample's d values moved as one opaque item, sums the m contiguous
+    (people * d) slabs in that same order, and divides by m.  ``scratch``
+    defaults to ``_slab_buffer(n, m, d)``.  At d = 1 the m axis is
+    contiguous, numpy sums it pairwise and fast, and the mean is numpy's.
+    """
+    n, m, d = x.shape
+    if out is None:
+        out = np.empty((n, d))
+    if d == 1:
+        return np.mean(x, axis=1, out=out)
+    if scratch is None:
+        scratch = _slab_buffer(n, m, d)
+    rows = scratch.size // (m * d)
+    item = np.dtype((np.void, x.itemsize * d))
+    for start in range(0, n, rows):
+        people = x[start : start + rows]
+        slabs = scratch[: people.size].reshape(m, len(people), d)
+        slabs.view(item)[...] = people.view(item).transpose(1, 0, 2)
+        total = out[start : start + rows]
+        np.add.reduce(slabs, axis=0, out=total)
+        total /= m
+    return out
+
+
+def _slab_buffer(n: int, m: int, d: int) -> np.ndarray:
+    """Scratch for ``_mean_over_samples``: half a ``SAMPLE_BLOCK`` of people,
+    at least one and at most n.  Beside a sampler's block of samples and the
+    64 KiB buffer that numpy takes for each broadcast add, a whole block of
+    scratch would hold more than two blocks."""
+    return np.empty(min(n, max(1, SAMPLE_BLOCK // 2 // (m * d))) * m * d)
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """A synthetic distribution with k-th moment at most 1 in every direction.
@@ -300,7 +344,10 @@ class SyntheticSpec:
     after another from the same generator.  Consecutive ``standard_normal``
     calls continue one stream, so scaled_gaussian's bits are those of a
     single draw.  A student_t block draws its normals, then its chi-square
-    variates, so its stream depends on the block size.
+    variates, so its stream depends on the block size.  Each block is drawn,
+    scaled and shifted in one reused buffer by ``_draw_into`` (which
+    ``sample`` calls too), and ``_mean_over_samples`` averages it through a
+    reused half-block scratch, bit for bit as ``mean(axis=1)`` would.
     """
 
     family: str
@@ -366,28 +413,38 @@ class SyntheticSpec:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` i.i.d. samples, shape (size, d)."""
-        d = self.dim
-        if self.family == "scaled_gaussian":
-            sigma_k = gaussian_abs_moment(self.k) ** (1.0 / self.k)
-            x = rng.standard_normal((size, d))
-            x /= sigma_k
-            x += self.mean_vector()
-            return x
         if self.family == "point_mass_mixture":
             lam, atom, v = self._pm_params()
             hits = rng.random(size) < lam
             x = np.where(hits[:, None], atom * v, 0.0)
             return x + (self.mean_vector() - lam * atom * v)
-        # student_t: Z / sqrt(W/df) is elliptically symmetric, so every
-        # projection is a 1-d t_df and one scalar normalizes all directions.
-        df = float(self.extra["df"])
-        scale = student_t_abs_moment(self.k, df) ** (1.0 / self.k)
-        z = rng.standard_normal((size, d))
-        w = rng.chisquare(df, size)
-        z /= np.sqrt(w / df)[:, None]
-        z /= scale
-        z += self.mean_vector()
-        return z
+        x = np.empty((size, self.dim))
+        self._draw_into(rng, x)
+        return x
+
+    def _draw_into(self, rng: np.random.Generator, x: np.ndarray) -> None:
+        """Fill ``x``, a C-contiguous float64 (rows, j * d) array, with
+        rows * j scaled_gaussian or student_t samples of d values each, in
+        draw order: the bits of ``sample(rng, rows * j)``."""
+        d = self.dim
+        rng.standard_normal(out=x)
+        if self.family == "scaled_gaussian":
+            x /= gaussian_abs_moment(self.k) ** (1.0 / self.k)
+        else:
+            # student_t: Z / sqrt(W/df) is elliptically symmetric, so every
+            # projection is a 1-d t_df and one scalar normalizes all directions.
+            df = float(self.extra["df"])
+            w = rng.chisquare(df, x.size // d)
+            w /= df
+            np.sqrt(w, out=w)
+            z = x.reshape(-1, d)
+            z /= w[:, None]
+            x /= student_t_abs_moment(self.k, df) ** (1.0 / self.k)
+        # A scalar at d = 1, else the mean tiled to a row's j * d values:
+        # numpy's inner loop then runs over the whole row, where a broadcast
+        # (d,) mean would make it d long.
+        mean = self.mean_vector()
+        x += mean[0] if d == 1 else np.tile(mean, x.shape[1] // d)
 
     def sample_means(self, rng: np.random.Generator, n: int, m: int) -> np.ndarray:
         """Draw ``n`` i.i.d. means of ``m`` samples each, shape (n, d)."""
@@ -397,10 +454,13 @@ class SyntheticSpec:
             return (b / m)[:, None] * (atom * v) + (self.mean_vector() - lam * atom * v)
         d = self.dim
         out = np.empty((n, d))
-        rows = max(1, SAMPLE_BLOCK // (m * d))
+        rows = min(n, max(1, SAMPLE_BLOCK // (m * d)))
+        block = np.empty((rows, m * d))
+        scratch = _slab_buffer(rows, m, d) if d > 1 else None
         for start in range(0, n, rows):
-            stop = min(n, start + rows)
-            out[start:stop] = self.sample(rng, (stop - start) * m).reshape(-1, m, d).mean(axis=1)
+            x = block[: min(n - start, rows)]
+            self._draw_into(rng, x)
+            _mean_over_samples(x.reshape(-1, m, d), out[start : start + len(x)], scratch)
         return out
 
     # -- serialization ------------------------------------------------------
@@ -488,11 +548,12 @@ def sample_batch_means(
     Chunked: each chunk of ``BATCH_CHUNK // (m * d)`` means comes from
     ``spec.sample_means`` on its own ``derive_rng(seed, chunk_index)`` stream
     and fills only its own rows.  A scaled_gaussian or student_t chunk holds
-    one block of about ``SAMPLE_BLOCK`` samples at a time, never all of its
-    m * d samples per mean, and a point_mass_mixture chunk one binomial per
-    mean.  ``threads`` workers (at least 1) draw the chunks; one worker draws
-    them in the caller, in order.  The thread count never changes a bit of
-    the result.
+    one buffer of about ``SAMPLE_BLOCK`` samples and a half-block scratch,
+    both reused by each of its blocks, never all of its m * d samples per
+    mean; a point_mass_mixture chunk holds one binomial per mean.
+    ``threads`` workers (at least 1) draw the chunks; one worker draws them
+    in the caller, in order.  The thread count never changes a bit of the
+    result.
     """
     if m < 1 or trials < 1:
         raise ParameterError("need m, trials >= 1")

@@ -34,6 +34,8 @@ from .mechanisms import BudgetLedger
 __all__ = [
     "two_round_radii",
     "single_round_rho",
+    "coarse_accuracy",
+    "coarse_width",
     "coarse_estimate_hd",
     "clip_and_noise",
     "estimate_single_round",
@@ -78,6 +80,32 @@ def single_round_rho(n: int, m: int, d: int, k: float, epsilon: float, delta: fl
     return DEFAULT_SINGLE_ROUND_CONSTANT * (concentration + tradeoff)
 
 
+def coarse_accuracy(d: int, m: int) -> float:
+    """L2 accuracy target 16 sqrt(d/m) of the estimators' coarse stage."""
+    return 16 * math.sqrt(d / m)
+
+
+def coarse_width(r: float, d: int) -> float:
+    """Per-coordinate bucket width of ``coarse_estimate_hd`` at L2 accuracy
+    r: half of r / sqrt(d).  ``range_estimator`` needs it below R.  At
+    r = ``coarse_accuracy(d, m)`` it can differ from ``est1d.coarse_width(m)``
+    by an ulp (d = 3, m = 17)."""
+    return r / math.sqrt(d) / 2
+
+
+def _coordinate_budget(budget: PrivacyBudget, d: int) -> PrivacyBudget:
+    """The basic split's (eps/d, delta/d), each stepped down an ulp at a
+    time until d copies ``fsum`` to at most the total: eps/d rounded up can
+    overspend by an ulp (eps = 0.23, d = 3)."""
+    shares = []
+    for total in (budget.epsilon, budget.delta):
+        share = total / d
+        while math.fsum([share] * d) > total:
+            share = math.nextafter(share, 0.0)
+        shares.append(share)
+    return PrivacyBudget(*shares)
+
+
 def coarse_estimate_hd(
     means: np.ndarray, m: int, budget: PrivacyBudget, r: float, seed: Seed, range_R: float
 ) -> np.ndarray:
@@ -89,7 +117,8 @@ def coarse_estimate_hd(
     is whichever split grants the larger epsilon, each sized so its
     composition formula totals (eps, delta):
 
-    * basic: (eps/d, delta/d) each;
+    * basic: (eps/d, delta/d) each, an ulp less where d copies would sum
+      past (eps, delta);
     * advanced, used once d > 6 ln(2/delta): (eps / sqrt(6 d ln(2/delta)),
       delta/(2d)) each with slack delta0 = delta/2.
 
@@ -103,8 +132,8 @@ def coarse_estimate_hd(
         eps0 = budget.epsilon / math.sqrt(6 * d * math.log(2 / budget.delta))
         coord_budget = PrivacyBudget(eps0, budget.delta / (2 * d))
     else:
-        coord_budget = PrivacyBudget(budget.epsilon / d, budget.delta / d)
-    width = r / math.sqrt(d) / 2
+        coord_budget = _coordinate_budget(budget, d)
+    width = coarse_width(r, d)
     out = np.empty(d)
     for j in range(d):
         try:
@@ -154,7 +183,7 @@ def _clip_rounds(
     centers[T] the release; ``ledger.report`` builds the report.
     """
     ledger = BudgetLedger()
-    accuracy = 16 * math.sqrt(groups[0].shape[1] / m)
+    accuracy = coarse_accuracy(groups[0].shape[1], m)
     centers = [
         coarse_estimate_hd(
             groups[0], m, ledger.add(*budgets[0]), accuracy, derive_seed(seed, 0), params.range_R

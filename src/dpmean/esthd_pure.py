@@ -32,6 +32,7 @@ from .core import (
     PrivacyBudget,
     ProblemParams,
     Seed,
+    _mean_over_samples,
     derive_rng,
     derive_seed,
 )
@@ -189,7 +190,7 @@ def _project_batch(
         far = np.flatnonzero(np.linalg.norm(x - p, axis=1) > rho * (1 - 1e-12))
     truncated = np.clip(x[far] @ dirs.T, p0 - rho, p0 + rho)  # (far, nq)
     x[far] = p
-    block_means = x.reshape(k_mom, block, -1).mean(axis=1) @ dirs.T  # (k_mom, nq)
+    block_means = _mean_over_samples(x.reshape(k_mom, block, -1)) @ dirs.T  # (k_mom, nq)
     np.add.at(block_means, far // block, (truncated - p0) / block)
     return block_means, midpoints, block, rho
 

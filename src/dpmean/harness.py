@@ -145,13 +145,19 @@ class ExperimentConfig:
             raise ConfigurationError(f"{self.estimator} requires delta > 0")
         if self.estimator == "est1d" and self.spec.dim != 1:
             raise ConfigurationError("est1d requires a univariate spec")
-        # est1d and pure_dp run est1d's coarse stage, whose bucket width
-        # shrinks with m and must stay below range_R.
-        width = est1d.coarse_width(min(self.m))
-        if self.estimator in ("est1d", "pure_dp") and width >= self.range_R:
+        # est1d and pure_dp run est1d's coarse stage, and hd_single and
+        # hd_two_round esthd_approx's; its bucket width shrinks with m and
+        # must stay below range_R.
+        m, d = min(self.m), self.spec.dim
+        if self.estimator in ("est1d", "pure_dp"):
+            width, formula = est1d.coarse_width(m), "8/sqrt(m)"
+        else:
+            r = esthd_approx.coarse_accuracy(d, m)
+            width, formula = esthd_approx.coarse_width(r, d), "8 sqrt(d/m)/sqrt(d)"
+        if width >= self.range_R:
             raise ConfigurationError(
-                f"{self.estimator} needs the coarse bucket width 8/sqrt(m) below range_R = "
-                f"{self.range_R}, got {width} at m = {min(self.m)}"
+                f"{self.estimator} needs the coarse bucket width {formula} below range_R = "
+                f"{self.range_R}, got {width} at m = {m}"
             )
 
     def grid_points(self) -> list:

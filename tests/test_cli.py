@@ -464,9 +464,26 @@ class TestSweepInProcess:
             # the coarse bucket width 8/sqrt(m) reaches range_R = 2 at m = 16
             ({"m": [64, 16]}, [], "coarse bucket width"),
             ({"estimator": "pure_dp", "m": [16]}, [], "coarse bucket width"),
+            # esthd_approx's width 8 sqrt(d/m)/sqrt(d) is 2.67 at m = 9 and
+            # 2.0 at d = 3, m = 16
+            (
+                {"estimator": "hd_single", "m": [64, 9], "delta": [1e-6],
+                 "spec": {"family": "scaled_gaussian", "mean": [0.3, 0.1], "k": 4.0,
+                          "extra": {}}},
+                [],
+                "coarse bucket width",
+            ),
+            (
+                {"estimator": "hd_two_round", "m": [16], "delta": [1e-6],
+                 "spec": {"family": "scaled_gaussian", "mean": [0.3, 0.1, 0.0], "k": 4.0,
+                          "extra": {}}},
+                [],
+                "coarse bucket width",
+            ),
         ],
         ids=["empty_axis", "negative_epsilon", "negative_seed_flag", "spec_at_grid_k",
-             "est1d_coarse_width_at_range", "pure_dp_coarse_width_at_range"],
+             "est1d_coarse_width_at_range", "pure_dp_coarse_width_at_range",
+             "hd_single_coarse_width_at_range", "hd_two_round_coarse_width_at_range"],
     )
     def test_sweep_rejected_before_output_exit_2(self, tmp_path, capsys, overrides, flags, message):
         cfg_path = self.write_config(tmp_path, "sweep", self.SWEEP, **overrides)

@@ -241,36 +241,48 @@ class TestSampling:
 
 
     @pytest.mark.parametrize(
-        "spec,block",
+        "spec,block,m",
         [
-            (gaussian_spec(mean=(0.3,)), None),
-            (gaussian_spec(mean=(0.3, -1.7, 2.5, 0.0), k=3.0), None),
+            (gaussian_spec(mean=(0.3,)), None, 16),
+            (gaussian_spec(mean=(0.3, -1.7)), None, 16),  # the pure_dp sweep's d
+            (gaussian_spec(mean=(0.3, -1.7, 2.5, 0.0), k=3.0), None, 16),
+            (
+                SyntheticSpec("student_t", mean=(0.1, -0.2), k=4.0, extra={"df": 10.0}),
+                None,
+                16,
+            ),
             (
                 SyntheticSpec("student_t", mean=tuple(0.1 * i for i in range(8)), k=4.0,
                               extra={"df": 10.0}),
                 None,
+                16,
             ),
+            (gaussian_spec(mean=tuple(0.1 * i for i in range(10))), None, 1),  # 3 chunks
             # 5 rows a block: a 256-row chunk is 51 blocks and then a 1-row block
-            (gaussian_spec(mean=(0.3,)), 80),
+            (gaussian_spec(mean=(0.3,)), 80, 16),
             # m * d = 128 exceeds the block: one row a block
-            (gaussian_spec(mean=tuple(0.1 * i for i in range(8))), 64),
-            # 4 rows a block: an 85-row chunk is 21 blocks and then a 1-row block
+            (gaussian_spec(mean=tuple(0.1 * i for i in range(8))), 64, 16),
+            # 4 rows a block: an 85-row chunk is 21 blocks and then a 1-row
+            # block, which fills half of the 2-row slab scratch
+            (gaussian_spec(mean=(0.1, -0.2, 0.3)), 192, 16),
             (
                 SyntheticSpec("student_t", mean=(0.1, -0.2, 0.3), k=4.0, extra={"df": 10.0}),
                 192,
+                16,
             ),
         ],
-        ids=["gaussian_d1", "gaussian_d4", "student_t_d8", "gaussian_1_row_tail_block",
-             "gaussian_row_per_block", "student_t_1_row_tail_block"],
+        ids=["gaussian_d1", "gaussian_d2", "gaussian_d4", "student_t_d2", "student_t_d8",
+             "gaussian_m1", "gaussian_1_row_tail_block", "gaussian_row_per_block",
+             "gaussian_d3_1_row_tail_block", "student_t_1_row_tail_block"],
     )
-    def test_batch_means_keep_draw_then_average_bits(self, monkeypatch, spec, block):
+    def test_batch_means_keep_draw_then_average_bits(self, monkeypatch, spec, block, m):
         # The reference draws out of place, then averages, chunk by chunk.
         # Gaussian blocks continue one stream, so it draws a Gaussian chunk
         # at once; a student_t block draws its normals, then its chi-squares.
         monkeypatch.setattr(core, "BATCH_CHUNK", 4096)
         if block is not None:
             monkeypatch.setattr(core, "SAMPLE_BLOCK", block)
-        m, trials, seed, d = 16, 1000, 41, spec.dim
+        trials, seed, d = 1000, 41, spec.dim
         per_chunk = 4096 // (m * d)
         rows = max(1, core.SAMPLE_BLOCK // (m * d))
         if block is not None:
@@ -296,6 +308,20 @@ class TestSampling:
         assert len(parts) > 2
         got = sample_batch_means(spec, m, trials, seed)
         assert got.tobytes() == np.concatenate(parts).tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("m", [1, 9, 25, 309])
+    def test_mean_over_samples_keeps_numpy_bits(self, m, d):
+        # 300 people span several scratch passes at every m * d > 109, and
+        # person 0's samples are all -0.0, whose numpy mean is +0.0.
+        rng = np.random.default_rng(m * 10 + d)
+        x = rng.standard_normal((300, m, d)) * rng.uniform(1e-3, 1e3, (300, 1, 1)) + 0.7
+        x[0] = -0.0
+        want = x.mean(axis=1).tobytes()
+        assert core._mean_over_samples(x).tobytes() == want
+        out = np.full((300, d), np.nan)
+        core._mean_over_samples(x, out, np.empty(7 * m * d))  # 7 people a pass
+        assert out.tobytes() == want
 
     @pytest.mark.parametrize(
         "spec",
@@ -338,15 +364,14 @@ class TestSampling:
         # numpy reports its buffers to tracemalloc.  Besides the output, each
         # worker holds one chunk of means and at most two blocks of samples,
         # never the chunk's BATCH_CHUNK samples (32 MiB).  A student_t block
-        # also holds its rows * m chi-squares and two temporaries of that size
-        # (w / df and its sqrt).
+        # also holds its rows * m chi-squares, divided and rooted in place.
         m, trials, d = 64, 100_000, 4
         extra = {"df": 10.0} if family == "student_t" else {}
         spec = SyntheticSpec(family, mean=(0.0,) * d, k=4.0, extra=extra)
         per_chunk = core.BATCH_CHUNK // (m * d)
         per_block = 2 * core.SAMPLE_BLOCK
         if family == "student_t":
-            per_block += 3 * (core.SAMPLE_BLOCK // (m * d)) * m
+            per_block += (core.SAMPLE_BLOCK // (m * d)) * m
         # a first call starts the threads and loads what they import
         sample_batch_means(spec, m, 2 * per_chunk, 5, threads)
         tracemalloc.start()

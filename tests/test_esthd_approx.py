@@ -16,6 +16,7 @@ from dpmean.core import (
     derive_seed,
     sample_batch_means,
 )
+from dpmean import esthd_approx
 from dpmean.clipping import clip_ball
 from dpmean.est1d import range_estimator
 from dpmean.esthd_approx import (
@@ -107,6 +108,27 @@ class TestCoarseHd:
             )
             hits += np.linalg.norm(out - spec3.mean_vector()) < r
         assert hits >= 90
+
+    def test_basic_split_never_overspends(self, monkeypatch):
+        # eps / d rounds up for 230 of these 3,996 pairs, and d copies of it
+        # then fsum to an ulp past eps; the split steps such a share down.
+        budgets = []
+
+        def recorded(means, m, budget, r, R, seed):
+            budgets.append(budget)
+            return 0.0, 1.0
+
+        monkeypatch.setattr(esthd_approx, "range_estimator", recorded)
+        for i in range(1, 1000):
+            for d in (3, 5, 6, 7):
+                total = PrivacyBudget(i / 100, i * 1e-8)  # d < 6 ln(2 / delta): basic
+                budgets.clear()
+                coarse_estimate_hd(np.zeros((4, d)), 16, total, r=1.0, seed=1, range_R=2.0)
+                assert len(budgets) == d and len(set(budgets)) == 1
+                share = budgets[0]
+                assert math.fsum([share.epsilon] * d) <= total.epsilon, (total, d)
+                assert math.fsum([share.delta] * d) <= total.delta, (total, d)
+                assert total.epsilon / d - share.epsilon <= math.ulp(total.epsilon / d)
 
     def test_failure_names_coordinate(self):
         # coordinate 0 lies inside the histogram range and succeeds at this

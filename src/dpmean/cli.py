@@ -243,14 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
         (
             "sweep",
             "run an experiment grid from a JSON config",
-            "worker threads (default: 1); each extra worker keeps its own malloc arena, "
-            "a few MB of resident memory",
+            "worker threads that run the trials, the calling thread among them (default: 1)",
         ),
         (
             "tailbench",
             "run tail-bound verification from a JSON config",
-            "worker threads that draw each Monte Carlo batch (default: 1); "
-            "the output does not depend on the count",
+            "worker threads that draw each Monte Carlo batch, the calling thread among them "
+            "(default: 1); the output does not depend on the count",
         ),
     ):
         p = sub.add_parser(name, help=help_text)

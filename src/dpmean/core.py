@@ -5,13 +5,13 @@ Estimators read a person only through their average: their one input is a
 slices and column views each entry point hands to its stages.
 ``PersonDataset`` (n x m x d raw samples) is for ingest only, and
 ``sample_batch_means`` is the one sampler.  It draws in chunks, each on its
-own stream and on any of its ``threads`` workers, so the thread count never
-changes a bit; a point-mass chunk is one binomial per mean.  Gaussian and
-Student-t chunks are drawn in cache-sized blocks into two buffers that every
-block of the chunk reuses: one holds the block's samples, and half a block
-of scratch holds them in (sample, person) order, so that averaging adds m
-contiguous slabs in the order numpy's ``mean`` adds them, bit for bit.
-Budgets are ``PrivacyBudget``s and synthetic distributions
+own stream, on ``_run_on_workers``, the package's one worker pool, which
+runs the sweep's trials too; a point-mass chunk is one binomial per mean.
+Gaussian and Student-t chunks are drawn in cache-sized blocks into two
+buffers that every block of the chunk reuses: one holds the block's samples,
+and half a block of scratch holds them in (sample, person) order, so that
+averaging adds m contiguous slabs in the order numpy's ``mean`` adds them,
+bit for bit.  Budgets are ``PrivacyBudget``s and synthetic distributions
 ``SyntheticSpec``s.  All randomness flows through ``derive_rng`` so that any
 operation is bit-reproducible given (inputs, seed).  A JSON config that does
 not parse, or holds a field of the wrong type, is a ``ConfigurationError``
@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -540,6 +541,52 @@ class EstimateReport:
 BATCH_CHUNK = 1 << 22
 
 
+def _run_on_workers(tasks: int, threads: int, task) -> None:
+    """Call ``task(i)`` for i = 0, ..., tasks - 1 on ``threads`` workers, the
+    package's one pool: the calling thread and ``min(threads, tasks) - 1``
+    helper threads, each taking the next index in order, so one worker runs
+    every task in the caller, in order.  The first exception stops every
+    worker from starting another task, and the caller re-raises it.  Whatever
+    ends the caller's share (an interrupt, a helper that fails to start), the
+    helpers start nothing more and are joined before this returns.  Each
+    helper keeps its own malloc arena, which holds the memory of the largest
+    draw it made; a caller that only waited would cost one arena more.
+    """
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
+    pending = list(range(tasks - 1, -1, -1))  # pop() takes indices in order
+    failures = []
+    lock = threading.Lock()
+
+    def work() -> None:
+        try:
+            while True:
+                with lock:
+                    if not pending:
+                        return
+                    i = pending.pop()
+                task(i)
+        except BaseException as exc:  # re-raised by the caller below
+            with lock:
+                pending.clear()
+                failures.append(exc)
+
+    helpers = []
+    try:
+        for _ in range(min(threads, tasks) - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        with lock:
+            pending.clear()
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[0]
+
+
 def sample_batch_means(
     spec: SyntheticSpec, m: int, trials: int, seed: Seed, threads: int = 1
 ) -> np.ndarray:
@@ -547,38 +594,22 @@ def sample_batch_means(
 
     Chunked: each chunk of ``BATCH_CHUNK // (m * d)`` means comes from
     ``spec.sample_means`` on its own ``derive_rng(seed, chunk_index)`` stream
-    and fills only its own rows.  A scaled_gaussian or student_t chunk holds
-    one buffer of about ``SAMPLE_BLOCK`` samples and a half-block scratch,
-    both reused by each of its blocks, never all of its m * d samples per
-    mean; a point_mass_mixture chunk holds one binomial per mean.
-    ``threads`` workers (at least 1) draw the chunks; one worker draws them
-    in the caller, in order.  The thread count never changes a bit of the
-    result.
+    and fills only its own rows, so the chunks run on ``_run_on_workers``
+    with ``threads`` workers and the thread count never changes a bit of the
+    result.  A scaled_gaussian or student_t chunk holds one buffer of about
+    ``SAMPLE_BLOCK`` samples and a half-block scratch, both reused by each
+    of its blocks; a point_mass_mixture chunk holds one binomial per mean.
     """
     if m < 1 or trials < 1:
         raise ParameterError("need m, trials >= 1")
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
     d = spec.dim
     out = np.empty((trials, d))
     per_chunk = max(1, BATCH_CHUNK // (m * d))
-    chunks = range(-(-trials // per_chunk))
 
     def draw(chunk_index: int) -> None:
         start = chunk_index * per_chunk
         stop = min(trials, start + per_chunk)
         out[start:stop] = spec.sample_means(derive_rng(seed, chunk_index), stop - start, m)
 
-    if threads == 1 or len(chunks) == 1:
-        for chunk_index in chunks:
-            draw(chunk_index)
-    else:
-        # Imported here: loading it costs every program that never asks for threads.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(min(threads, len(chunks))) as pool:
-            # Reading every result re-raises the first failure, and leaving
-            # the map cancels the chunks not yet started.
-            for _ in pool.map(draw, chunks):
-                pass
+    _run_on_workers(-(-trials // per_chunk), threads, draw)
     return out

@@ -29,7 +29,7 @@ from .core import (
 )
 from .clipping import clip_ball
 from .est1d import range_estimator
-from .mechanisms import BudgetLedger
+from .mechanisms import BudgetLedger, _coordinate_budget
 
 __all__ = [
     "two_round_radii",
@@ -91,19 +91,6 @@ def coarse_width(r: float, d: int) -> float:
     r = ``coarse_accuracy(d, m)`` it can differ from ``est1d.coarse_width(m)``
     by an ulp (d = 3, m = 17)."""
     return r / math.sqrt(d) / 2
-
-
-def _coordinate_budget(budget: PrivacyBudget, d: int) -> PrivacyBudget:
-    """The basic split's (eps/d, delta/d), each stepped down an ulp at a
-    time until d copies ``fsum`` to at most the total: eps/d rounded up can
-    overspend by an ulp (eps = 0.23, d = 3)."""
-    shares = []
-    for total in (budget.epsilon, budget.delta):
-        share = total / d
-        while math.fsum([share] * d) > total:
-            share = math.nextafter(share, 0.0)
-        shares.append(share)
-    return PrivacyBudget(*shares)
 
 
 def coarse_estimate_hd(

@@ -37,7 +37,7 @@ from .core import (
     derive_seed,
 )
 from .est1d import _estimate_column
-from .mechanisms import BudgetLedger, exponential_mechanism
+from .mechanisms import BudgetLedger, _coordinate_budget, exponential_mechanism
 
 __all__ = [
     "comparison_rho",
@@ -263,12 +263,12 @@ def estimate_pure_full(
     """Full pure-DP pipeline over 2n people; ``budget`` must be pure (delta = 0).
 
     The first half of the per-person means runs the univariate pipeline per
-    coordinate (budget epsilon/d, failure beta/(2d) each), charged to ledger
-    group 0, to get mu_coarse with L-inf error alpha; the second half is
-    recentred as means - mu_coarse and handed to fine_est_pure on epsilon,
-    charged to group 1.  The halves are disjoint people, so the ledger
-    composes the phases in parallel: the report spends the larger phase's
-    epsilon (the coarse sum can sit an ulp above epsilon).  Raises
+    coordinate (budget epsilon/d, an ulp less where d copies would sum past
+    epsilon, and failure beta/(2d) each), charged to ledger group 0, to get
+    mu_coarse with L-inf error alpha; the second half is recentred as
+    means - mu_coarse and handed to fine_est_pure on epsilon, charged to
+    group 1.  The halves are disjoint people, so the ledger composes the
+    phases in parallel and the report spends epsilon.  Raises
     ParameterError when budget.delta > 0: the estimator spends no delta, so
     a requested delta would be dropped rather than used.
     """
@@ -282,7 +282,7 @@ def estimate_pure_full(
     if half < 1:
         raise ParameterError("need at least 2 people")
 
-    coord_budget = PrivacyBudget(epsilon / d, 0.0)
+    coord_budget = _coordinate_budget(budget, d)
     coord_params = ProblemParams(
         k=params.k, alpha=params.alpha, beta=params.beta / (2 * d), range_R=params.range_R
     )

@@ -6,15 +6,13 @@ verification.
 ``fn(data: PersonMeans, budget, params, seed) -> EstimateReport``; the sweep
 and the CLI both dispatch through it.
 
-Sweeps have one execution path: ``threads`` workers (1 by default, the
-calling thread among them) take trials from one queue and stop taking them
-on the first exception.
+Sweep trials run on ``core._run_on_workers`` and tailbench's Monte Carlo
+chunks on it through ``sample_batch_means``, each with ``threads`` workers.
 Per-trial seeds derive from (config seed, grid-point hash, trial index), so
-row contents never depend on execution order.  Rows are written atomically as
-tasks complete; with one worker, trials run in grid order and the file itself
-is byte-identical across reruns except for the wall_time_ms column.
-Tailbench draws each Monte Carlo batch on its ``threads`` workers, and its
-rows are byte-identical for any thread count.
+row contents never depend on execution order.  Sweep rows are written
+atomically as trials complete; with one worker, trials run in grid order and
+the file itself is byte-identical across reruns except for the wall_time_ms
+column.  Tailbench rows are byte-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ from .core import (
     ProblemParams,
     Seed,
     SyntheticSpec,
+    _run_on_workers,
     config_errors,
     derive_seed,
     sample_batch_means,
@@ -286,70 +285,38 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> str:
     """Run the full grid x trials cross product and write the CSV.
 
     Returns the output path.  A summary row (median error, success@alpha)
-    follows each grid point's trials.  ``threads`` workers (at least 1)
-    take trials from one queue in grid order; the calling thread is worker 0,
-    so one worker runs every trial in the caller, in grid order.  The first
-    exception stops the workers from starting further trials and propagates.
-    Each extra worker keeps its own malloc arena, which keeps the memory of
-    the largest draw it made; draws are made in 512 KiB blocks, so at
-    n = 2^14, m = 64, d = 8 (hd_two_round, four trials) two workers take
-    peak RSS from 39 to about 42 MB on student_t and on scaled_gaussian.
+    follows each grid point's trials.  The trials, in grid order, run on
+    ``core._run_on_workers`` with ``threads`` workers.
     """
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
     points = config.grid_points()
     errors = [[] for _ in points]
-    queue = [(i, trial) for i in range(len(points)) for trial in range(config.trials)]
-    queue.reverse()  # pop() takes trials in grid order
-    failures = []
     lock = threading.Lock()
     with open(config.output_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=TrialRow, lineterminator="\n")
         writer.writeheader()
 
-        def work() -> None:
-            while True:
-                with lock:
-                    if not queue:
-                        return
-                    i, trial = queue.pop()
-                point = points[i]
-                try:
-                    row = _run_one(config, point, trial)
-                except BaseException as exc:  # re-raised by the caller below
-                    with lock:
-                        queue.clear()
-                        failures.append(exc)
-                    return
-                with lock:
-                    writer.writerow(row)
-                    errors[i].append(float(row["l2_error"]))
-                    if len(errors[i]) == config.trials:
-                        success = sum(1 for e in errors[i] if e <= point["alpha"]) / len(errors[i])
-                        summary = _row(
-                            config,
-                            point,
-                            "summary",
-                            median_error=repr(float(np.median(errors[i]))),
-                            success_rate=repr(success),
-                        )
-                        writer.writerow(summary)
-                    fh.flush()
-
-        helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
-        for helper in helpers:
-            helper.start()
-        try:
-            work()
-        finally:
-            # Whatever ends the caller's share (an interrupt included), the
-            # helpers start no further trial and finish before the file closes.
+        def run(task: int) -> None:
+            i, trial = divmod(task, config.trials)
+            point = points[i]
+            row = _run_one(config, point, trial)
             with lock:
-                queue.clear()
-            for helper in helpers:
-                helper.join()
-    if failures:
-        raise failures[0]
+                writer.writerow(row)
+                errors[i].append(float(row["l2_error"]))
+                if len(errors[i]) == config.trials:
+                    success = sum(1 for e in errors[i] if e <= point["alpha"]) / len(errors[i])
+                    summary = _row(
+                        config,
+                        point,
+                        "summary",
+                        median_error=repr(float(np.median(errors[i]))),
+                        success_rate=repr(success),
+                    )
+                    writer.writerow(summary)
+                fh.flush()
+
+        _run_on_workers(len(points) * config.trials, threads, run)
     return config.output_path
 
 
@@ -447,11 +414,9 @@ def run_tailbench(config: TailbenchConfig, threads: int = 1) -> str:
     dominates the tail (empirical + 3 stderr <= bound), 0 when the tail
     exceeds it (empirical - 3 stderr > bound), and empty when the run cannot
     resolve the two, e.g. 0 hits whose 3 stderr band is wider than the bound.
-    The batches run one after another, each drawn on ``threads`` workers (at
-    least 1) by ``sample_batch_means``; the file does not depend on the count.
+    The batches run one after another, each drawn by ``sample_batch_means``
+    with ``threads`` workers; the file does not depend on the count.
     """
-    if threads < 1:
-        raise ConfigurationError(f"threads must be >= 1, got {threads}")
     rows = []
     for spec, m in itertools.product(config.specs, config.m):
         d = spec.dim

@@ -149,3 +149,17 @@ class BudgetLedger:
         wall_time_ms = (time.perf_counter() - t0) * 1e3
         params["ledger"] = self.entries
         return EstimateReport(estimate, *self.total(), seed, wall_time_ms, params)
+
+
+def _coordinate_budget(budget: PrivacyBudget, d: int) -> PrivacyBudget:
+    """The basic split's (eps/d, delta/d), each stepped down an ulp at a
+    time until d copies ``fsum`` to at most the total: eps/d rounded up can
+    overspend by an ulp (eps = 0.23, d = 3).  Halving a share is exact, so
+    2d halves ``fsum`` to at most the total too."""
+    shares = []
+    for total in (budget.epsilon, budget.delta):
+        share = total / d
+        while math.fsum([share] * d) > total:
+            share = math.nextafter(share, 0.0)
+        shares.append(share)
+    return PrivacyBudget(*shares)

@@ -163,8 +163,8 @@ def mc_tail(
     A univariate spec measures the one-sided P[mean - mu >= t] (the
     univariate theorems' form), a multivariate one P[||mean - mu||_2 >= t]
     (the high-dimensional theorem's).  Std errors are Wilson-interval
-    (z = 1) half-widths.  ``threads`` workers draw the batch
-    (``sample_batch_means``); the counts do not depend on it.
+    (z = 1) half-widths.  ``sample_batch_means`` draws the batch with
+    ``threads`` workers; the counts do not depend on it.
     """
     if trials < 100_000:
         raise ParameterError(f"need trials >= 1e5, got {trials}")

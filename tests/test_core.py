@@ -3,6 +3,7 @@ import json
 import math
 import pkgutil
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -357,6 +358,42 @@ class TestSampling:
         with pytest.raises(ParameterError, match="bad chunk"):
             sample_batch_means(gaussian_spec(), 8, 10_000, 3, threads=2)
         assert len(calls) < 157 // 2  # of 157 chunks of 64 means
+
+    def test_batch_caller_draws_beside_one_helper(self, monkeypatch, thread_starts):
+        # the caller is one of the two workers, so one helper is started;
+        # each chunk sleeps, so a pool whose caller only waited would start two
+        monkeypatch.setattr(core, "BATCH_CHUNK", 512)
+        sample_means = SyntheticSpec.sample_means
+        workers = set()
+
+        def slow(self, rng, n, m):
+            workers.add(threading.get_ident())
+            time.sleep(0.01)
+            return sample_means(self, rng, n, m)
+
+        monkeypatch.setattr(SyntheticSpec, "sample_means", slow)
+        serial = sample_batch_means(gaussian_spec(), 8, 256, 3)  # 4 chunks of 64 means
+        assert thread_starts == []
+        pooled = sample_batch_means(gaussian_spec(), 8, 256, 3, threads=2)
+        assert len(thread_starts) == 1 and not thread_starts[0].is_alive()
+        assert threading.get_ident() in workers
+        assert pooled.tobytes() == serial.tobytes()
+
+    def test_pool_interrupt_in_the_caller_joins_the_helpers(self, thread_starts):
+        caller = threading.get_ident()
+        done = []
+
+        def task(i):
+            if threading.get_ident() == caller:
+                raise KeyboardInterrupt
+            time.sleep(0.001)
+            done.append(i)
+
+        with pytest.raises(KeyboardInterrupt):
+            core._run_on_workers(1000, 3, task)
+        assert len(thread_starts) == 2
+        assert not any(t.is_alive() for t in thread_starts)
+        assert len(done) < 100  # the helpers stopped taking tasks
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("family", ["scaled_gaussian", "student_t"])

@@ -7,9 +7,11 @@ not counted).  A change that needs a new knob raises ``MAX_KNOBS`` in its
 own diff and says why.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import dpmean
@@ -39,3 +41,19 @@ def knob_count() -> int:
 
 def test_knob_count_does_not_grow():
     assert knob_count() <= MAX_KNOBS
+
+
+def test_one_place_starts_threads():
+    # Every worker thread comes from core._run_on_workers, the one pool, and
+    # no module brings a second one in from concurrent.futures.
+    imports, threads = [], []
+    for path in sorted(pathlib.Path(dpmean.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imports += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                imports.append(node.module or "")
+            elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("Thread"):
+                threads.append(f"{path.name}:{node.lineno}")
+    assert [name for name in imports if name.split(".")[0] == "concurrent"] == []
+    assert len(threads) == 1 and threads[0].startswith("core.py:"), threads

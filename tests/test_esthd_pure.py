@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dpmean import est1d
+from dpmean import est1d, esthd_pure
 from dpmean.core import (
     ConfigurationError,
     EstimationFailedError,
@@ -372,15 +372,33 @@ class TestEstimatePureFull:
         assert math.isclose(report.estimate[0], nearest[0] + mu_coarse[0], rel_tol=1e-12)
 
     def test_reports_the_budget_its_coarse_stages_spent(self):
-        # at d = 3 the six coarse charges of 3.44 / 3 / 2 sum to one ulp
-        # above 3.44, and the report says so rather than echoing epsilon
+        # at d = 3, 3.44 / 3 rounds up, and six coarse charges of half of it
+        # would fsum to an ulp past 3.44; the split charges an ulp less, and
+        # the report is the ledger's grouped fsum
         data = PersonMeans(np.random.default_rng(11).normal(0.1, 0.05, size=(256, 3)), 64)
         params = ProblemParams(k=4.0, alpha=0.5, beta=0.1, range_R=2.0)
         report = estimate_pure_full(data, PrivacyBudget(3.44), params, 5)
-        spent = math.fsum([3.44 / 3 / 2] * 6)
-        assert spent == 3.4400000000000004
-        assert report.params["ledger"] == [(3.44 / 3 / 2, 0.0, 0)] * 6 + [(3.44, 0.0, 1)]
-        assert (report.epsilon, report.delta) == (spent, 0.0)
+        ledger = report.params["ledger"]
+        share = ledger[0][0]
+        assert share < 3.44 / 3 / 2
+        assert ledger == [(share, 0.0, 0)] * 6 + [(3.44, 0.0, 1)]
+        sums = [math.fsum(e for e, _, g in ledger if g == group) for group in (0, 1)]
+        assert (report.epsilon, report.delta) == (max(sums), 0.0)
+        assert report.epsilon <= 3.44
+
+    def test_never_reports_more_than_epsilon(self, monkeypatch):
+        # eps / d rounds up at d = 3 for 63 of these 3,996 pairs, and the 2d
+        # coarse charges of eps / d / 2 would then fsum to an ulp past eps.
+        # The fine stage, stubbed out here, charges eps to its own group.
+        monkeypatch.setattr(
+            esthd_pure, "fine_est_pure", lambda means, m, params, budget, seed: means[0] * 0
+        )
+        params = ProblemParams(k=4.0, alpha=0.5, beta=0.1, range_R=2.0)
+        for d in (1, 2, 3, 4):
+            data = PersonMeans(np.random.default_rng(11).normal(0.1, 0.05, size=(64, d)), 4096)
+            for i in range(1, 1000):
+                report = estimate_pure_full(data, PrivacyBudget(i / 100), params, 5)
+                assert report.epsilon == i / 100, (i / 100, d)
 
     def test_rejects_delta(self):
         # the estimator spends no delta, so a requested one must not be dropped silently

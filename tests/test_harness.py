@@ -3,6 +3,8 @@ import inspect
 import json
 import math
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -340,6 +342,46 @@ class TestRunExperiment:
             run_experiment(cfg, threads=4)
         assert len(calls) <= 4
 
+
+    def test_workers_are_bounded_by_trials(self, tmp_path, monkeypatch, thread_starts):
+        # two trials need at most one helper beside the caller, whatever threads asks for
+        def cheap(config, point, trial):
+            time.sleep(0.01)
+            return harness._row(config, point, "trial", trial=trial, l2_error=repr(0.01 * trial))
+
+        monkeypatch.setattr(harness, "_run_one", cheap)
+        cfg = one_point_config(tmp_path, trials=2)
+        run_experiment(cfg, threads=16)
+        assert len(thread_starts) <= 1
+        assert len(read_rows(cfg.output_path)) == 3
+
+    def test_failed_helper_start_joins_the_started_helper(self, tmp_path, monkeypatch):
+        # a helper started before a failed start must not keep running trials
+        # into the file that the failure closes
+        started = []
+
+        class FailsSecond(threading.Thread):
+            def start(self):
+                if started:
+                    raise RuntimeError("can't start new thread")
+                super().start()
+                started.append(self)
+
+        def slow(config, point, trial):
+            time.sleep(0.02)
+            return harness._row(config, point, "trial", trial=trial, l2_error=repr(0.01 * trial))
+
+        monkeypatch.setattr(threading, "Thread", FailsSecond)
+        monkeypatch.setattr(harness, "_run_one", slow)
+        cfg = one_point_config(tmp_path, trials=20)
+        try:
+            with pytest.raises(RuntimeError, match="can't start new thread"):
+                run_experiment(cfg, threads=4)
+            assert len(started) == 1
+            assert not started[0].is_alive()
+        finally:
+            for helper in started:
+                helper.join(timeout=10)
 
     def test_many_workers_lose_no_trial(self, tmp_path, monkeypatch):
         def cheap(config, point, trial):

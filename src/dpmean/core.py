@@ -6,12 +6,14 @@ slices and column views each entry point hands to its stages.
 ``PersonDataset`` (n x m x d raw samples) is for ingest only, and
 ``sample_batch_means`` is the one sampler.  It draws in chunks, each on its
 own stream, on ``_run_on_workers``, the package's one worker pool, which
-runs the sweep's trials too; a point-mass chunk is one binomial per mean.
-Gaussian and Student-t chunks are drawn in cache-sized blocks into two
-buffers that every block of the chunk reuses: one holds the block's samples,
-and half a block of scratch holds them in (sample, person) order, so that
-averaging adds m contiguous slabs in the order numpy's ``mean`` adds them,
-bit for bit.  Budgets are ``PrivacyBudget``s and synthetic distributions
+runs the sweep's trials too.  Point-mass and Student-t means are drawn from
+their exact laws: one binomial per point-mass mean, and m chi-squares and d
+normals per Student-t mean, in cache-sized blocks of chi-squares.  Gaussian
+chunks draw m samples per mean in cache-sized blocks into two buffers that
+every block of the chunk reuses: one holds the block's samples, and half a
+block of scratch holds them in (sample, person) order, so that averaging
+adds m contiguous slabs in the order numpy's ``mean`` adds them, bit for
+bit.  Budgets are ``PrivacyBudget``s and synthetic distributions
 ``SyntheticSpec``s.  All randomness flows through ``derive_rng`` so that any
 operation is bit-reproducible given (inputs, seed).  A JSON config that does
 not parse, or holds a field of the wrong type, is a ``ConfigurationError``
@@ -272,8 +274,8 @@ class ClipBall:
 
 _FAMILIES = ("scaled_gaussian", "point_mass_mixture", "student_t")
 
-# Scalar samples per block of a scaled_gaussian or student_t ``sample_means``
-# (512 KiB), so a block stays in cache.
+# Scalars per block of ``sample_means`` (512 KiB), so a block stays in cache:
+# scaled_gaussian samples, or student_t chi-squares.
 SAMPLE_BLOCK = 1 << 16
 
 
@@ -332,7 +334,7 @@ class SyntheticSpec:
         Construction requires lambda <= 1.
       * ``student_t``: multivariate Student-t (shape I) with ``extra["df"]``
         degrees of freedom, scaled so every projection has k-th moment 1.
-        Smoke-test family only; requires df > k.
+        Smoke-test family only; requires a finite df > k.
 
     ``mean`` is the distribution mean.  ``None`` means the family's natural
     mean: zero, except point_mass_mixture whose natural mean is
@@ -340,15 +342,20 @@ class SyntheticSpec:
 
     ``sample_means`` draws the mean of m samples.  For point_mass_mixture it
     is exact: the mean is shift + atom * v * Binomial(m, lambda) / m, one
-    binomial variate per mean.  The other two families draw m samples and
-    average them, in row blocks of about ``SAMPLE_BLOCK`` scalars, one block
-    after another from the same generator.  Consecutive ``standard_normal``
-    calls continue one stream, so scaled_gaussian's bits are those of a
-    single draw.  A student_t block draws its normals, then its chi-square
-    variates, so its stream depends on the block size.  Each block is drawn,
-    scaled and shifted in one reused buffer by ``_draw_into`` (which
-    ``sample`` calls too), and ``_mean_over_samples`` averages it through a
-    reused half-block scratch, bit for bit as ``mean(axis=1)`` would.
+    binomial variate per mean.  For student_t it is exact too: a sample is
+    c * Z_j / sqrt(W_j / df), with Z_j ~ N(0, I_d), W_j ~ chi^2_df and c the
+    scale that makes the k-th moment 1.  Given the W_j the sum of m samples
+    is Gaussian, so the mean is mean + (c / m) * sqrt(sum_j df / W_j) * Z
+    with one Z ~ N(0, I_d): m chi-squares and d normals per mean, drawn in
+    row blocks of about ``SAMPLE_BLOCK`` chi-squares, each block's
+    chi-squares before its normals.  scaled_gaussian draws m samples and
+    averages them, in row blocks of about ``SAMPLE_BLOCK`` samples, one
+    block after another from the same generator.  Consecutive
+    ``standard_normal`` calls continue one stream, so its bits are those of
+    a single draw.  Each block is drawn, scaled and shifted in one reused
+    buffer by ``_draw_into`` (which ``sample`` calls for both families), and
+    ``_mean_over_samples`` averages it through a reused half-block scratch,
+    bit for bit as ``mean(axis=1)`` would.
     """
 
     family: str
@@ -385,7 +392,12 @@ class SyntheticSpec:
             if self.mean is not None and len(self.mean) != v.shape[0]:
                 raise ConfigurationError("mean and v dimensions differ")
         elif self.family == "student_t":
-            df = float(self.extra.get("df", 0.0))
+            try:
+                df = strict_float(self.extra.get("df", 0.0))
+            except ValueError as exc:
+                raise ConfigurationError(f"student_t df: {exc}") from None
+            if not math.isfinite(df):  # NaN would pass the check below
+                raise ConfigurationError(f"student_t df must be finite, got {df}")
             if df <= self.k:
                 raise ConfigurationError(f"student_t requires df > k = {self.k}, got df = {df}")
 
@@ -455,6 +467,23 @@ class SyntheticSpec:
             return (b / m)[:, None] * (atom * v) + (self.mean_vector() - lam * atom * v)
         d = self.dim
         out = np.empty((n, d))
+        if self.family == "student_t":
+            df = float(self.extra["df"])
+            scale = 1.0 / (m * student_t_abs_moment(self.k, df) ** (1.0 / self.k))
+            rows = min(n, max(1, SAMPLE_BLOCK // m))
+            gammas = np.empty(rows * m)
+            for start in range(0, n, rows):
+                x = out[start : start + rows]
+                # numpy's chi-square is twice a Gamma(df/2) variate, so this
+                # is the stream and the bits of chisquare(df) and df / W_j,
+                # drawn into one reused buffer.
+                w = gammas[: len(x) * m].reshape(len(x), m)
+                rng.standard_gamma(df / 2, out=w)
+                np.divide(df / 2, w, out=w)
+                rng.standard_normal(out=x)
+                x *= (np.sqrt(w.sum(axis=1)) * scale)[:, None]
+            out += self.mean_vector()
+            return out
         rows = min(n, max(1, SAMPLE_BLOCK // (m * d)))
         block = np.empty((rows, m * d))
         scratch = _slab_buffer(rows, m, d) if d > 1 else None
@@ -596,9 +625,11 @@ def sample_batch_means(
     ``spec.sample_means`` on its own ``derive_rng(seed, chunk_index)`` stream
     and fills only its own rows, so the chunks run on ``_run_on_workers``
     with ``threads`` workers and the thread count never changes a bit of the
-    result.  A scaled_gaussian or student_t chunk holds one buffer of about
-    ``SAMPLE_BLOCK`` samples and a half-block scratch, both reused by each
-    of its blocks; a point_mass_mixture chunk holds one binomial per mean.
+    result.  A scaled_gaussian chunk holds one buffer of about
+    ``SAMPLE_BLOCK`` samples and a half-block scratch, and a student_t chunk
+    one buffer of about ``SAMPLE_BLOCK`` chi-squares, each reused by every
+    block of the chunk; a point_mass_mixture chunk holds one binomial per
+    mean.
     """
     if m < 1 or trials < 1:
         raise ParameterError("need m, trials >= 1")

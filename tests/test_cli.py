@@ -461,6 +461,14 @@ class TestSweepInProcess:
                 [],
                 "student_t requires df > k",
             ),
+            # json writes and reads NaN; before the df check, the sweep wrote
+            # its header and then stopped on a non-finite person mean
+            (
+                {"spec": {"family": "student_t", "mean": [0.0], "k": 4.0,
+                          "extra": {"df": float("nan")}}},
+                [],
+                "student_t df",
+            ),
             # the coarse bucket width 8/sqrt(m) reaches range_R = 2 at m = 16
             ({"m": [64, 16]}, [], "coarse bucket width"),
             ({"estimator": "pure_dp", "m": [16]}, [], "coarse bucket width"),
@@ -482,7 +490,7 @@ class TestSweepInProcess:
             ),
         ],
         ids=["empty_axis", "negative_epsilon", "negative_seed_flag", "spec_at_grid_k",
-             "est1d_coarse_width_at_range", "pure_dp_coarse_width_at_range",
+             "nan_student_t_df", "est1d_coarse_width_at_range", "pure_dp_coarse_width_at_range",
              "hd_single_coarse_width_at_range", "hd_two_round_coarse_width_at_range"],
     )
     def test_sweep_rejected_before_output_exit_2(self, tmp_path, capsys, overrides, flags, message):
